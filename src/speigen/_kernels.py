@@ -1,52 +1,25 @@
-"""Vectorized mask/Fourier kernels: numba-jitted hot path, numpy fallback.
+"""Vectorized numpy mask/Fourier kernels.
 
 The transform of the measure is the infinite product of mask values
 ``prod_k m_D(M**-k * x)``; evaluating it over the large frequency batches of
 the completeness probes is the one genuinely hot numeric loop in the package.
-Both lanes implement identical arithmetic:
-
-* ``*_jit``   - numba ``@njit`` per-element loops (compiled lazily, cached),
-* ``*_numpy`` - pure-numpy vectorized equivalents.
-
-The active lane is numba when importable; setting the environment variable
-``SPEIGEN_NO_NUMBA`` to a truthy value selects the numpy lane instead.  The
-exact integer machinery elsewhere in the package never goes through here:
-unbounded integers cannot be jitted, and all certificates stay exact.
+The exact integer machinery elsewhere in the package never goes through here:
+unbounded integers stay in Python, and all certificates stay exact.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
 
-def _flag_disabled() -> bool:
-    return os.environ.get("SPEIGEN_NO_NUMBA", "").strip().lower() in {"1", "true", "yes", "on"}
-
-
-HAVE_NUMBA = False
-if not _flag_disabled():
-    try:
-        from numba import njit
-
-        HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - environment without numba
-        HAVE_NUMBA = False
-
-ACTIVE_LANE = "numba" if HAVE_NUMBA else "numpy"
-
-
-# --------------------------------------------------------------------------
-# numpy lane
-# --------------------------------------------------------------------------
-
-def mask_values_numpy(xs: np.ndarray, scales: np.ndarray, n_base: int) -> np.ndarray:
+def mask_values(xs, scales, n_base: int) -> np.ndarray:
     """m_D at each x, as the product of per-block geometric digit sums."""
-    xs = np.asarray(xs, dtype=np.float64)
+    xs = np.ascontiguousarray(xs, dtype=np.float64)
+    scales = np.ascontiguousarray(scales, dtype=np.float64)
     out = np.ones(xs.shape, dtype=np.complex128)
     for scale in scales:
         w = xs * scale
@@ -61,89 +34,19 @@ def mask_values_numpy(xs: np.ndarray, scales: np.ndarray, n_base: int) -> np.nda
     return out
 
 
-def fourier_products_numpy(
-    xs: np.ndarray,
-    scales: np.ndarray,
-    n_base: int,
-    m_scale: float,
-    max_digit: float,
-    tol: float,
-) -> np.ndarray:
+def fourier_products(xs, scales, n_base: int, m_scale: float, max_digit: float, tol: float) -> np.ndarray:
     """Truncated products prod_{k<=K} m_D(x / M**k) with per-x tail bound < tol."""
-    xs = np.asarray(xs, dtype=np.float64)
+    xs = np.ascontiguousarray(xs, dtype=np.float64)
+    scales = np.ascontiguousarray(scales, dtype=np.float64)
+    m_scale, max_digit, tol = float(m_scale), float(max_digit), float(tol)
     out = np.ones(xs.shape, dtype=np.complex128)
     tails = TWO_PI * max_digit * np.abs(xs) / (m_scale - 1.0)
     ys = xs.copy()
     active = tails >= tol
     while active.any():
         ys = np.where(active, ys / m_scale, ys)
-        factors = mask_values_numpy(ys[active], scales, n_base)
+        factors = mask_values(ys[active], scales, n_base)
         out[active] *= factors
         tails = np.where(active, tails / m_scale, tails)
         active = tails >= tol
     return out
-
-
-# --------------------------------------------------------------------------
-# numba lane
-# --------------------------------------------------------------------------
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _mask_one_jit(x: float, scales: np.ndarray, n_base: int) -> complex:
-        acc = 1.0 + 0.0j
-        for scale in scales:
-            w = x * scale
-            r = w - np.rint(w)
-            if r != 0.0:
-                num = math.sin(math.pi * n_base * r)
-                den = n_base * math.sin(math.pi * r)
-                phase = math.pi * (n_base - 1) * r
-                acc *= complex(math.cos(phase), math.sin(phase)) * (num / den)
-        return acc
-
-    @njit(cache=True)
-    def mask_values_jit(xs: np.ndarray, scales: np.ndarray, n_base: int) -> np.ndarray:
-        out = np.empty(xs.shape[0], dtype=np.complex128)
-        for i in range(xs.shape[0]):
-            out[i] = _mask_one_jit(xs[i], scales, n_base)
-        return out
-
-    @njit(cache=True)
-    def fourier_products_jit(
-        xs: np.ndarray,
-        scales: np.ndarray,
-        n_base: int,
-        m_scale: float,
-        max_digit: float,
-        tol: float,
-    ) -> np.ndarray:
-        out = np.empty(xs.shape[0], dtype=np.complex128)
-        for i in range(xs.shape[0]):
-            x = xs[i]
-            tail = TWO_PI * max_digit * abs(x) / (m_scale - 1.0)
-            acc = 1.0 + 0.0j
-            y = x
-            while tail >= tol:
-                y /= m_scale
-                acc *= _mask_one_jit(y, scales, n_base)
-                tail /= m_scale
-            out[i] = acc
-        return out
-
-
-def mask_values(xs, scales, n_base: int) -> np.ndarray:
-    xs = np.ascontiguousarray(xs, dtype=np.float64)
-    scales = np.ascontiguousarray(scales, dtype=np.float64)
-    if HAVE_NUMBA:
-        return mask_values_jit(xs, scales, n_base)
-    return mask_values_numpy(xs, scales, n_base)
-
-
-def fourier_products(xs, scales, n_base: int, m_scale: float, max_digit: float, tol: float) -> np.ndarray:
-    xs = np.ascontiguousarray(xs, dtype=np.float64)
-    scales = np.ascontiguousarray(scales, dtype=np.float64)
-    if HAVE_NUMBA:
-        return fourier_products_jit(xs, scales, n_base, float(m_scale), float(max_digit), float(tol))
-    return fourier_products_numpy(xs, scales, n_base, float(m_scale), float(max_digit), float(tol))

@@ -45,13 +45,6 @@ def _parse_p(text: str) -> list[int]:
         raise InvalidParameters([("p_parse", f"p must be a comma list of integers: {text!r}")]) from None
 
 
-def _parse_omega(text: str) -> spectra.SignWord:
-    try:
-        return spectra.SignWord.parse(text)
-    except ValueError as exc:
-        raise InvalidParameters([("omega_parse", str(exc))]) from None
-
-
 def _load_config(path: Optional[str]) -> dict:
     if path is None:
         return {}
@@ -67,14 +60,40 @@ def _load_config(path: Optional[str]) -> dict:
     return config
 
 
-def _merged(args: argparse.Namespace, config: dict, key: str, flag_value):
+def _merged(config: dict, key: str, flag_value):
     return flag_value if flag_value is not None else config.get(key)
+
+
+def _scaling(args, config: dict, missing_msg: str, integer_for: Optional[str] = None) -> Fraction | int:
+    """``--t`` (or config ``"t"``) as a Fraction, or as an int if ``integer_for`` names the command."""
+    text = _merged(config, "t", args.t)
+    if text is None:
+        raise InvalidParameters([("missing", missing_msg)])
+    t = parse_rational(str(text))
+    if integer_for is None:
+        return t
+    if t.denominator != 1:
+        raise InvalidParameters([("t_integer", f"{integer_for} needs an integer t")])
+    return int(t)
+
+
+def _sign_word(args, config: dict) -> Optional[spectra.SignWord]:
+    """``--omega`` as a comma string, or config ``"omega"`` as a string or a list; None if absent."""
+    value = _merged(config, "omega", args.omega)
+    if value is None:
+        return None
+    if not isinstance(value, str):
+        return spectra.SignWord(tuple(value))
+    try:
+        return spectra.SignWord.parse(value)
+    except ValueError as exc:
+        raise InvalidParameters([("omega_parse", str(exc))]) from None
 
 
 def _instance_from(args: argparse.Namespace, config: dict) -> instance.ProblemInstance:
     descriptor = {}
     for key, flag in (("N", args.N), ("R", args.R), ("q", args.q)):
-        value = _merged(args, config, key, flag)
+        value = _merged(config, key, flag)
         if value is None:
             raise InvalidParameters([("missing", f"missing instance parameter {key}")])
         descriptor[key] = value
@@ -124,10 +143,7 @@ def _decision_lines(decision: eigen.EigenDecision) -> list[str]:
 
 def _cmd_decide(args, config) -> int:
     inst = _instance_from(args, config)
-    t_text = _merged(args, config, "t", args.t)
-    if t_text is None:
-        raise InvalidParameters([("missing", "missing scaling --t")])
-    t = parse_rational(str(t_text))
+    t = _scaling(args, config, "missing scaling --t")
     decision = eigen.decide_scaling(inst, t, node_budget=args.node_budget)
     report = {
         "command": "decide",
@@ -140,8 +156,8 @@ def _cmd_decide(args, config) -> int:
 
 def _cmd_search(args, config) -> int:
     inst = _instance_from(args, config)
-    t_from = _merged(args, config, "t_from", args.t_from)
-    t_to = _merged(args, config, "t_to", args.t_to)
+    t_from = _merged(config, "t_from", args.t_from)
+    t_to = _merged(config, "t_to", args.t_to)
     if t_from is None or t_to is None:
         raise InvalidParameters([("missing", "search needs --t-from and --t-to")])
     decisions = eigen.search_eigenvalues(inst, int(t_from), int(t_to), node_budget=args.node_budget)
@@ -158,15 +174,12 @@ def _cmd_search(args, config) -> int:
 
 def _cmd_signed(args, config) -> int:
     inst = _instance_from(args, config)
-    t_text = _merged(args, config, "t", args.t)
-    omega_text = _merged(args, config, "omega", args.omega)
-    if t_text is None or omega_text is None:
-        raise InvalidParameters([("missing", "signed needs --t and --omega")])
-    t = parse_rational(str(t_text))
-    if t.denominator != 1:
-        raise InvalidParameters([("t_integer", "signed decisions need an integer t")])
-    omega = _parse_omega(omega_text) if isinstance(omega_text, str) else spectra.SignWord(tuple(omega_text))
-    decision = eigen.decide_scaling_signed(inst, int(t), omega, node_budget=args.node_budget)
+    missing = "signed needs --t and --omega"
+    if _merged(config, "omega", args.omega) is None:
+        raise InvalidParameters([("missing", missing)])
+    t = _scaling(args, config, missing, integer_for="signed")
+    omega = _sign_word(args, config)
+    decision = eigen.decide_scaling_signed(inst, t, omega, node_budget=args.node_budget)
     report = {
         "command": "signed",
         "instance": _instance_report(inst),
@@ -178,10 +191,7 @@ def _cmd_signed(args, config) -> int:
 
 def _cmd_type2(args, config) -> int:
     inst = _instance_from(args, config)
-    t_text = _merged(args, config, "t", args.t)
-    if t_text is None:
-        raise InvalidParameters([("missing", "type2 needs --t as t1/t2")])
-    t = parse_rational(str(t_text))
+    t = _scaling(args, config, "type2 needs --t as t1/t2")
     verdict = eigen.decide_second_type(inst, t.numerator, t.denominator)
     report = {
         "command": "type2",
@@ -195,7 +205,7 @@ def _cmd_type2(args, config) -> int:
         inst.describe(),
         f"t = {t}: {'some set and its t-scaling are both spectra' if verdict else 'no such set exists'}",
     ]
-    r_max = _merged(args, config, "r_max", args.r_max)
+    r_max = _merged(config, "r_max", args.r_max)
     if verdict and r_max is not None:
         word = eigen.find_sign_word(
             inst, [abs(t.numerator), abs(t.denominator)], int(r_max), node_budget=args.node_budget
@@ -212,16 +222,10 @@ def _cmd_type2(args, config) -> int:
 
 def _cmd_attractor(args, config) -> int:
     inst = _instance_from(args, config)
-    t_text = _merged(args, config, "t", args.t)
-    if t_text is None:
-        raise InvalidParameters([("missing", "attractor needs --t")])
-    t = parse_rational(str(t_text))
-    if t.denominator != 1:
-        raise InvalidParameters([("t_integer", "attractor needs an integer t")])
-    t_int = abs(int(t))
-    omega_text = _merged(args, config, "omega", args.omega)
-    if omega_text is not None:
-        omega = _parse_omega(omega_text) if isinstance(omega_text, str) else spectra.SignWord(tuple(omega_text))
+    t = _scaling(args, config, "attractor needs --t", integer_for="attractor")
+    t_int = abs(t)
+    omega = _sign_word(args, config)
+    if omega is not None:
         base = inst.M**omega.r
         digits = spectra.block_digit_set(inst, omega, t_int)
     else:
@@ -250,10 +254,7 @@ def _cmd_attractor(args, config) -> int:
 
 def _cmd_zeroset(args, config) -> int:
     inst = _instance_from(args, config)
-    t_text = _merged(args, config, "t", args.t)
-    if t_text is None:
-        raise InvalidParameters([("missing", "zeroset needs --t (the frequency to test)")])
-    xi = parse_rational(str(t_text))
+    xi = _scaling(args, config, "zeroset needs --t (the frequency to test)")
     witness = measure.zero_set_decompose(inst, xi if xi.denominator != 1 else int(xi))
     report = {
         "command": "zeroset",
@@ -277,23 +278,15 @@ def _cmd_zeroset(args, config) -> int:
 
 def _cmd_validate(args, config) -> int:
     inst = _instance_from(args, config)
-    t_text = _merged(args, config, "t", args.t)
-    if t_text is None:
-        raise InvalidParameters([("missing", "validate needs --t")])
-    t = parse_rational(str(t_text))
-    if t.denominator != 1:
-        raise InvalidParameters([("t_integer", "validate needs an integer t")])
-    omega_text = _merged(args, config, "omega", args.omega)
-    omega = None
-    if omega_text is not None:
-        omega = _parse_omega(omega_text) if isinstance(omega_text, str) else spectra.SignWord(tuple(omega_text))
+    t = _scaling(args, config, "validate needs --t", integer_for="validate")
+    omega = _sign_word(args, config)
 
     decision = None
     if omega is None:
-        decision = eigen.decide_scaling(inst, int(t), node_budget=args.node_budget)
-    orth_level = spectra.spectrum_level(inst, int(t), 2, omega)
+        decision = eigen.decide_scaling(inst, t, node_budget=args.node_budget)
+    orth_level = spectra.spectrum_level(inst, t, 2, omega)
     orthogonality = validate.check_orthogonal_set(inst, orth_level.elements)
-    probe_level = spectra.spectrum_level(inst, int(t), 3, omega)
+    probe_level = spectra.spectrum_level(inst, t, 3, omega)
     grid = validate.default_grid(decision)
     probe = validate.completeness_probe(inst, probe_level, grid, tol=args.tol, decision=decision)
 
@@ -389,7 +382,7 @@ def reproduce_paper(example: Optional[str] = None) -> dict:
 
 
 def _cmd_reproduce(args, config) -> int:
-    example = _merged(args, config, "example", args.example)
+    example = _merged(config, "example", args.example)
     report = reproduce_paper(example)
     lines = []
     for case in report["cases"]:
@@ -455,6 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)  # JSON reports write M = R * N**q in full, however long
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

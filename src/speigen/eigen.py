@@ -87,6 +87,29 @@ def _as_exact_scaling(t) -> int | Fraction | None:
     return None
 
 
+def _graph_decision(t, omega: Optional[SignWord], base: int, digits, node_budget: int) -> EigenDecision:
+    """Verdict read off the integer-point transition graph of ``T(base, digits)``.
+
+    A cycle through nonzero nodes refutes the spectrum; only the unsigned
+    case (``omega is None``) reports its missing frequency ``-eta_1``.
+    """
+    system = build_graph(base, digits, node_budget=node_budget)
+    cycle = _find_nonzero_cycle(system)
+    if cycle is None:
+        return EigenDecision(
+            t=t, verdict=Verdict.SPECTRUM, reason=Reason.NO_CYCLE, omega=omega, integer_point_count=len(system.nodes)
+        )
+    return EigenDecision(
+        t=t,
+        verdict=Verdict.NOT_SPECTRUM,
+        reason=Reason.CYCLE_FOUND,
+        omega=omega,
+        integer_point_count=len(system.nodes),
+        cycle=cycle,
+        missing_frequency=-cycle.nodes[0] if omega is None else None,
+    )
+
+
 def decide_scaling(
     inst: ProblemInstance,
     t,
@@ -109,23 +132,7 @@ def decide_scaling(
     if math.gcd(abs(value), inst.N) != 1:
         return EigenDecision(t=value, verdict=Verdict.NOT_SPECTRUM, reason=Reason.SHARES_FACTOR_WITH_N)
     scaled = [abs(value) * l for l in inst.L]
-    system = build_graph(inst.M, scaled, node_budget=node_budget)
-    cycle = _find_nonzero_cycle(system)
-    if cycle is not None:
-        return EigenDecision(
-            t=value,
-            verdict=Verdict.NOT_SPECTRUM,
-            reason=Reason.CYCLE_FOUND,
-            integer_point_count=len(system.nodes),
-            cycle=cycle,
-            missing_frequency=-cycle.nodes[0],
-        )
-    return EigenDecision(
-        t=value,
-        verdict=Verdict.SPECTRUM,
-        reason=Reason.NO_CYCLE,
-        integer_point_count=len(system.nodes),
-    )
+    return _graph_decision(value, None, inst.M, scaled, node_budget)
 
 
 def decide_scaling_signed(
@@ -148,24 +155,7 @@ def decide_scaling_signed(
     if math.gcd(abs(t), inst.N) != 1:
         return EigenDecision(t=t, verdict=Verdict.NOT_SPECTRUM, reason=Reason.SHARES_FACTOR_WITH_N, omega=omega)
     blocks = block_digit_set(inst, omega, abs(t), element_budget=element_budget)
-    system = build_graph(inst.M**omega.r, blocks, node_budget=node_budget)
-    cycle = _find_nonzero_cycle(system)
-    if cycle is not None:
-        return EigenDecision(
-            t=t,
-            verdict=Verdict.NOT_SPECTRUM,
-            reason=Reason.CYCLE_FOUND,
-            omega=omega,
-            integer_point_count=len(system.nodes),
-            cycle=cycle,
-        )
-    return EigenDecision(
-        t=t,
-        verdict=Verdict.SPECTRUM,
-        reason=Reason.NO_CYCLE,
-        omega=omega,
-        integer_point_count=len(system.nodes),
-    )
+    return _graph_decision(t, omega, inst.M**omega.r, blocks, node_budget)
 
 
 def _divisors(n: int) -> list[int]:

@@ -152,3 +152,37 @@ def test_single_block_note_surfaces(capsys):
     assert code == 0
     notes = json.loads(out)["instance"]["notes"]
     assert any("s=0" in note for note in notes)
+
+
+def test_long_integers_are_answered_in_full(capsys):
+    code, out, _ = run_cli(capsys, ["decide", "--N", "2", "--R", "3", "--q", "20000", "--p", "1", "--t", "7", "--json"])
+    assert code == 0
+    assert json.loads(out)["instance"]["M"] == str(3 * 2**20000)
+
+
+def test_omega_list_from_config(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"N": 2, "R": 3, "q": 2, "p": [1], "t": "11", "omega": [1, -1]}))
+    code, out, _ = run_cli(capsys, ["signed", "--config", str(config), "--json"])
+    assert code == 0
+    decision = json.loads(out)["decision"]
+    assert decision["omega"] == [1, -1] and decision["verdict"] == "Spectrum"
+    code, out, _ = run_cli(capsys, ["validate", "--config", str(config), "--json"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["omega"] == [1, -1] and report["decision"] is None
+    assert report["orthogonality"]["orthogonal"] is True
+
+
+def test_non_integer_scaling_is_rejected(capsys):
+    for command in (["signed", "--omega", "1,-1"], ["attractor"], ["validate"]):
+        code, _, err = run_cli(capsys, [command[0], *INST12, *command[1:], "--t", "3/2"])
+        assert code == 2 and "needs an integer t" in err
+
+
+def test_omega_leading_minus_needs_equals_form(capsys):
+    code, out, _ = run_cli(capsys, ["signed", *INST12, "--t", "11", "--omega=-1,1", "--json"])
+    assert code == 0
+    assert json.loads(out)["decision"]["omega"] == [-1, 1]
+    code, _, err = run_cli(capsys, ["signed", *INST12, "--t", "11", "--omega=1,2"])
+    assert code == 2 and "sign word" in err

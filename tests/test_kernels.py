@@ -1,12 +1,6 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
-import pytest
 
 from speigen import _kernels, fourier_value, fourier_values, mask_value
-from speigen._kernels import fourier_products_numpy, mask_values_numpy
 from speigen.measure import _numeric_params
 
 
@@ -19,24 +13,12 @@ def test_scalar_matches_batch(inst12, inst48):
         assert np.max(np.abs(batch - scalar)) <= 5e-12
 
 
-def test_numpy_lane_matches_active_lane(inst12, inst120):
-    rng = np.random.default_rng(7)
-    for inst in (inst12, inst120):
-        n_base, scales, m_scale, max_digit = _numeric_params(inst)
-        xs = rng.uniform(-2000, 2000, size=128)
-        active = _kernels.fourier_products(xs, scales, n_base, m_scale, max_digit, 1e-12)
-        fallback = fourier_products_numpy(xs, scales, n_base, m_scale, max_digit, 1e-12)
-        assert np.max(np.abs(active - fallback)) <= 5e-12
-
-
 def test_mask_lanes_agree(inst120):
     n_base, scales, _, _ = _numeric_params(inst120)
     xs = np.linspace(-3.3, 3.3, 257)
-    active = _kernels.mask_values(xs, scales, n_base)
-    fallback = mask_values_numpy(xs, scales, n_base)
-    assert np.max(np.abs(active - fallback)) <= 1e-13
+    batch = _kernels.mask_values(xs, scales, n_base)
     scalar = np.array([mask_value(inst120, float(x)) for x in xs])
-    assert np.max(np.abs(active - scalar)) <= 1e-13
+    assert np.max(np.abs(batch - scalar)) <= 1e-13
 
 
 def test_integer_frequencies_reduce_exactly(inst12):
@@ -45,18 +27,3 @@ def test_integer_frequencies_reduce_exactly(inst12):
     xs = np.array([-5.0, -1.0, 0.0, 1.0, 7.0])
     values = _kernels.mask_values(xs, scales, n_base)
     assert np.allclose(values, 1.0, atol=0.0)
-
-
-@pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="active lane is already numpy")
-def test_env_flag_selects_numpy_lane():
-    env = dict(os.environ, SPEIGEN_NO_NUMBA="1")
-    code = "import speigen._kernels as k; print(k.ACTIVE_LANE)"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "numpy"
-
-
-def test_lane_constant_is_consistent():
-    assert _kernels.ACTIVE_LANE in ("numba", "numpy")
-    assert (_kernels.ACTIVE_LANE == "numba") == _kernels.HAVE_NUMBA
