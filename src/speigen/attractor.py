@@ -6,8 +6,12 @@ digits from C.  Its integer points all lie in the interval
 point of ``S -> {z : exists c in C with b*z - c in S}``, computed here by
 worklist removal.  A cycle through nonzero integer points (equivalently a
 word witness for the divisibility criterion) certifies that the scaled set
-fails to be a spectrum; both searches are deterministic and return
-lexicographically least witnesses.
+fails to be a spectrum.  ``find_nonzero_cycle`` returns the least such cycle
+in (length, start node, digit sequence) order: one reverse BFS per start
+finds the least length and start, and a greedy least-digit walk along the
+BFS distances reads off the digits without backtracking.
+``word_witness_search`` is the brute-force oracle for the same criterion,
+least in (length, lexicographic) order.
 """
 
 from __future__ import annotations
@@ -162,11 +166,11 @@ def build_graph(b: int, C, node_budget: int = DEFAULT_NODE_BUDGET) -> AttractorS
     return system
 
 
-def _witness_successors(sys: AttractorSystem) -> dict[int, list[tuple[int, int]]]:
+def _witness_successors(system: AttractorSystem) -> dict[int, list[tuple[int, int]]]:
     # Witness step u -(c)-> v means v = (u + c) / base, i.e. the reverse of
     # the stored edge v -(c)-> u; digit lists come out sorted ascending.
-    succ: dict[int, list[tuple[int, int]]] = {z: [] for z in sys.nodes if z != 0}
-    for v, c, u in sys.edges:
+    succ: dict[int, list[tuple[int, int]]] = {z: [] for z in system.nodes if z != 0}
+    for v, c, u in system.edges:
         if u != 0 and v != 0:
             succ[u].append((c, v))
     for lst in succ.values():
@@ -174,89 +178,60 @@ def _witness_successors(sys: AttractorSystem) -> dict[int, list[tuple[int, int]]
     return succ
 
 
-def _has_cycle(succ: dict[int, list[tuple[int, int]]]) -> bool:
-    color = {u: 0 for u in succ}  # 0 white, 1 on stack, 2 done
-    for root in succ:
-        if color[root]:
-            continue
-        stack = [(root, iter(succ[root]))]
-        color[root] = 1
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for _, nxt in it:
-                if color[nxt] == 1:
-                    return True
-                if color[nxt] == 0:
-                    color[nxt] = 1
-                    stack.append((nxt, iter(succ[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = 2
-                stack.pop()
-    return False
+def find_nonzero_cycle(system: AttractorSystem) -> Optional[CycleWitness]:
+    """Least cycle through nonzero integer points, or None.
 
+    Minimality is by (length, start node, digit sequence).  Each start, in
+    ascending order, gets one reverse BFS of distances to it, level by level
+    until a level holds one of its successors: that depth plus one is its
+    shortest return.  Only a strictly shorter return displaces the best
+    start so far, so later searches stop at depth ``best - 2`` and the scan
+    ends as soon as a length-1 cycle turns up.
 
-def _distances_to(target: int, succ: dict[int, list[tuple[int, int]]]) -> dict[int, int]:
+    The digits are then read off greedily: from each node, the least digit
+    whose successor lies exactly ``remaining`` steps from the start.  A
+    successor nearer than that would close a walk shorter than the least
+    cycle, so no successor is nearer; one at exactly that distance always
+    exists, so the walk never dead-ends and never backtracks.
+    """
+    succ = _witness_successors(system)
     pred: dict[int, list[int]] = {u: [] for u in succ}
     for u, lst in succ.items():
         for _, v in lst:
             pred[v].append(u)
-    dist = {target: 0}
-    queue = deque([target])
-    while queue:
-        v = queue.popleft()
-        for u in pred[v]:
-            if u not in dist:
-                dist[u] = dist[v] + 1
-                queue.append(u)
-    return dist
 
-
-def find_nonzero_cycle(sys: AttractorSystem) -> Optional[CycleWitness]:
-    """Least cycle through nonzero integer points, or None.
-
-    Minimality is by (length, start node, digit sequence); the digit-ascending
-    depth-first search from ascending start nodes returns exactly that
-    witness.  At the minimal length no shorter cycle exists, so found paths
-    cannot self-intersect.
-    """
-    succ = _witness_successors(sys)
-    if not succ or not _has_cycle(succ):
+    best: Optional[tuple[int, int, dict[int, int]]] = None  # (length, start, distances to start)
+    for start in sorted(succ):
+        exits = {v for _, v in succ[start]}
+        limit = len(succ) if best is None else best[0] - 2
+        dist = {start: 0}
+        frontier = [start]
+        depth = 0
+        while frontier and exits.isdisjoint(frontier) and depth < limit:
+            depth += 1
+            level = []
+            for v in frontier:
+                for u in pred[v]:
+                    if u not in dist:
+                        dist[u] = depth
+                        level.append(u)
+            frontier = level
+        if not exits.isdisjoint(frontier):
+            best = (depth + 1, start, dist)
+            if depth == 0:
+                break
+    if best is None:
         return None
-    starts = sorted(succ)
-    for m in range(1, len(starts) + 1):
-        for start in starts:
-            dist = _distances_to(start, succ)
-            # Iterative DFS; frames carry (node, digit iterator).
-            path_nodes = [start]
-            path_digits: list[int] = []
-            stack = [iter(succ[start])]
-            while stack:
-                depth = len(stack)
-                node_it = stack[-1]
-                found_next = False
-                for c, v in node_it:
-                    if depth == m:
-                        if v == start:
-                            witness = CycleWitness(nodes=tuple(path_nodes), digits=tuple(path_digits + [c]))
-                            assert witness.verify(sys.base)
-                            return witness
-                        continue
-                    remaining = m - depth
-                    if dist.get(v, m + 1) <= remaining:
-                        path_nodes.append(v)
-                        path_digits.append(c)
-                        stack.append(iter(succ[v]))
-                        found_next = True
-                        break
-                if not found_next:
-                    stack.pop()
-                    if path_digits:
-                        path_nodes.pop()
-                        path_digits.pop()
-    raise AssertionError("cycle detected but no witness found within node count")
+
+    length, start, dist = best
+    nodes, digits = [start], []
+    for remaining in range(length - 1, -1, -1):
+        c, v = next((c, v) for c, v in succ[nodes[-1]] if dist.get(v) == remaining)
+        digits.append(c)
+        nodes.append(v)
+    witness = CycleWitness(nodes=tuple(nodes[:-1]), digits=tuple(digits))
+    assert witness.verify(system.base)
+    return witness
 
 
 def word_witness_search(

@@ -5,7 +5,9 @@ reproduce-paper.  Instance parameters come from flags or a JSON config file
 (flags win).  Output is a human table by default or JSON with ``--json``;
 JSON is the stable interface and serializes every potentially large integer
 as a decimal string.  Exit codes: 0 success, 2 invalid instance/config,
-3 budget exhaustion.
+3 budget exhaustion.  Only the package's own errors are mapped to exit
+codes; any other exception is an internal error and propagates, so the
+process exits 1 with a traceback.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Optional
 
 from . import attractor as attractor_mod
 from . import eigen, instance, measure, spectra, validate
-from .errors import BudgetExceeded, InvalidParameters, SizeMismatch, SpeigenError, ZeroScaling
+from .errors import BudgetExceeded, InvalidParameters, SpeigenError
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -82,12 +84,20 @@ def _sign_word(args, config: dict) -> Optional[spectra.SignWord]:
     value = _merged(config, "omega", args.omega)
     if value is None:
         return None
-    if not isinstance(value, str):
-        return spectra.SignWord(tuple(value))
     try:
-        return spectra.SignWord.parse(value)
-    except ValueError as exc:
-        raise InvalidParameters([("omega_parse", str(exc))]) from None
+        if isinstance(value, str):
+            return spectra.SignWord.parse(value)
+        if isinstance(value, list) and all(type(entry) is int for entry in value):
+            return spectra.SignWord(tuple(value))
+    except ValueError:
+        pass
+    raise InvalidParameters([("omega_parse", f"omega must be a sign word of -1/+1 entries: {value!r}")])
+
+
+def _integer(args, config: dict, key: str) -> Optional[int]:
+    """Integer flag, or config value as an integer or decimal string; None if absent."""
+    value = _merged(config, key, getattr(args, key))
+    return None if value is None else instance._coerce_integer(value, key)
 
 
 def _instance_from(args: argparse.Namespace, config: dict) -> instance.ProblemInstance:
@@ -156,11 +166,13 @@ def _cmd_decide(args, config) -> int:
 
 def _cmd_search(args, config) -> int:
     inst = _instance_from(args, config)
-    t_from = _merged(config, "t_from", args.t_from)
-    t_to = _merged(config, "t_to", args.t_to)
+    t_from = _integer(args, config, "t_from")
+    t_to = _integer(args, config, "t_to")
     if t_from is None or t_to is None:
         raise InvalidParameters([("missing", "search needs --t-from and --t-to")])
-    decisions = eigen.search_eigenvalues(inst, int(t_from), int(t_to), node_budget=args.node_budget)
+    if t_from > t_to:
+        raise InvalidParameters([("t_range", "t_from must not exceed t_to")])
+    decisions = eigen.search_eigenvalues(inst, t_from, t_to, node_budget=args.node_budget)
     report = {
         "command": "search",
         "instance": _instance_report(inst),
@@ -192,6 +204,9 @@ def _cmd_signed(args, config) -> int:
 def _cmd_type2(args, config) -> int:
     inst = _instance_from(args, config)
     t = _scaling(args, config, "type2 needs --t as t1/t2")
+    r_max = _integer(args, config, "r_max")
+    if r_max is not None and r_max < 1:
+        raise InvalidParameters([("r_max", "r_max must be at least 1")])
     verdict = eigen.decide_second_type(inst, t.numerator, t.denominator)
     report = {
         "command": "type2",
@@ -205,11 +220,8 @@ def _cmd_type2(args, config) -> int:
         inst.describe(),
         f"t = {t}: {'some set and its t-scaling are both spectra' if verdict else 'no such set exists'}",
     ]
-    r_max = _merged(config, "r_max", args.r_max)
     if verdict and r_max is not None:
-        word = eigen.find_sign_word(
-            inst, [abs(t.numerator), abs(t.denominator)], int(r_max), node_budget=args.node_budget
-        )
+        word = eigen.find_sign_word(inst, [abs(t.numerator), abs(t.denominator)], r_max, node_budget=args.node_budget)
         report["sign_word"] = list(word.pattern) if word else None
         if word:
             lines.append(f"common sign word (period {word.r}): {list(word.pattern)}")
@@ -223,15 +235,7 @@ def _cmd_type2(args, config) -> int:
 def _cmd_attractor(args, config) -> int:
     inst = _instance_from(args, config)
     t = _scaling(args, config, "attractor needs --t", integer_for="attractor")
-    t_int = abs(t)
-    omega = _sign_word(args, config)
-    if omega is not None:
-        base = inst.M**omega.r
-        digits = spectra.block_digit_set(inst, omega, t_int)
-    else:
-        base = inst.M
-        digits = tuple(t_int * l for l in inst.L)
-    system = attractor_mod.build_graph(base, digits, node_budget=args.node_budget)
+    system = eigen.scaled_system(inst, t, _sign_word(args, config), node_budget=args.node_budget)
     cycle = attractor_mod.find_nonzero_cycle(system)
     report = {
         "command": "attractor",
@@ -243,7 +247,7 @@ def _cmd_attractor(args, config) -> int:
     }
     lines = [
         inst.describe(),
-        f"base {base}, {len(system.digits)} digits, candidates [{system.lo}, {system.hi}]",
+        f"base {system.base}, {len(system.digits)} digits, candidates [{system.lo}, {system.hi}]",
         f"integer points ({len(system.nodes)}): {list(system.nodes)}",
         f"edges: {len(system.edges)}",
         f"nonzero cycle: {f'nodes {list(cycle.nodes)} digits {list(cycle.digits)}' if cycle else 'none'}",
@@ -276,6 +280,16 @@ def _cmd_zeroset(args, config) -> int:
     return EXIT_OK
 
 
+def _check_probe_inputs(inst: instance.ProblemInstance, tol: float) -> None:
+    """The Q probe needs a positive tolerance and M, N**p_j exact in float64."""
+    if not tol > 0:
+        raise InvalidParameters([("tol", "tol must be positive")])
+    try:
+        measure._numeric_params(inst)
+    except ValueError as exc:
+        raise InvalidParameters([("float_range", str(exc))]) from None
+
+
 def _cmd_validate(args, config) -> int:
     inst = _instance_from(args, config)
     t = _scaling(args, config, "validate needs --t", integer_for="validate")
@@ -288,6 +302,7 @@ def _cmd_validate(args, config) -> int:
     orthogonality = validate.check_orthogonal_set(inst, orth_level.elements)
     probe_level = spectra.spectrum_level(inst, t, 3, omega)
     grid = validate.default_grid(decision)
+    _check_probe_inputs(inst, args.tol)
     probe = validate.completeness_probe(inst, probe_level, grid, tol=args.tol, decision=decision)
 
     report = {
@@ -461,7 +476,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ZeroScaling, SizeMismatch, SpeigenError, ValueError, TypeError) as exc:
+    except SpeigenError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 
 from .attractor import (
     DEFAULT_NODE_BUDGET,
+    AttractorSystem,
     CycleWitness,
     build_graph,
 )
@@ -87,13 +88,30 @@ def _as_exact_scaling(t) -> int | Fraction | None:
     return None
 
 
-def _graph_decision(t, omega: Optional[SignWord], base: int, digits, node_budget: int) -> EigenDecision:
-    """Verdict read off the integer-point transition graph of ``T(base, digits)``.
+def scaled_system(
+    inst: ProblemInstance,
+    t: int,
+    omega: Optional[SignWord] = None,
+    node_budget: int = DEFAULT_NODE_BUDGET,
+    element_budget: int = DEFAULT_ELEMENT_BUDGET,
+) -> AttractorSystem:
+    """Integer-point transition graph whose cycles decide the scaling t.
+
+    That is ``T(M, |t|*L)`` without a sign word, and ``T(M**r, |t|*B)`` for a
+    word of period r, where B folds one period into block digits.
+    """
+    if omega is None:
+        return build_graph(inst.M, [abs(t) * l for l in inst.L], node_budget=node_budget)
+    blocks = block_digit_set(inst, omega, abs(t), element_budget=element_budget)
+    return build_graph(inst.M**omega.r, blocks, node_budget=node_budget)
+
+
+def _graph_decision(t, omega: Optional[SignWord], system: AttractorSystem) -> EigenDecision:
+    """Verdict read off the transition graph built by :func:`scaled_system`.
 
     A cycle through nonzero nodes refutes the spectrum; only the unsigned
     case (``omega is None``) reports its missing frequency ``-eta_1``.
     """
-    system = build_graph(base, digits, node_budget=node_budget)
     cycle = _find_nonzero_cycle(system)
     if cycle is None:
         return EigenDecision(
@@ -131,8 +149,7 @@ def decide_scaling(
         return EigenDecision(t=value, verdict=Verdict.NOT_SPECTRUM, reason=Reason.NON_INTEGER)
     if math.gcd(abs(value), inst.N) != 1:
         return EigenDecision(t=value, verdict=Verdict.NOT_SPECTRUM, reason=Reason.SHARES_FACTOR_WITH_N)
-    scaled = [abs(value) * l for l in inst.L]
-    return _graph_decision(value, None, inst.M, scaled, node_budget)
+    return _graph_decision(value, None, scaled_system(inst, value, node_budget=node_budget))
 
 
 def decide_scaling_signed(
@@ -154,8 +171,8 @@ def decide_scaling_signed(
         raise ZeroScaling("scaling t must be nonzero")
     if math.gcd(abs(t), inst.N) != 1:
         return EigenDecision(t=t, verdict=Verdict.NOT_SPECTRUM, reason=Reason.SHARES_FACTOR_WITH_N, omega=omega)
-    blocks = block_digit_set(inst, omega, abs(t), element_budget=element_budget)
-    return _graph_decision(t, omega, inst.M**omega.r, blocks, node_budget)
+    system = scaled_system(inst, t, omega, node_budget=node_budget, element_budget=element_budget)
+    return _graph_decision(t, omega, system)
 
 
 def _divisors(n: int) -> list[int]:

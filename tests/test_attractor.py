@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from speigen import (
@@ -6,10 +8,12 @@ from speigen import (
     SignWord,
     block_digit_set,
     build_graph,
+    build_instance,
     find_nonzero_cycle,
     integer_points,
     word_witness_search,
 )
+from speigen.eigen import scaled_system
 
 
 def brute_force_members(b, digits, lo, hi):
@@ -23,6 +27,35 @@ def brute_force_members(b, digits, lo, hi):
     for _ in range(hi - lo + 2):
         alive = {z for z in alive if any(b * z - c in alive for c in digits)}
     return alive
+
+
+def least_cycle_oracle(system):
+    """Independent oracle: every closed walk in (length, start, digit sequence) order.
+
+    No distance pruning; the first closed walk of the least length is the
+    least cycle, since a shorter cycle would have been found first.
+    """
+    succ = {}
+    for v, c, u in system.edges:  # stored edge v -(c)-> u is the witness step u -(c)-> v
+        if u != 0 and v != 0:
+            succ.setdefault(u, []).append((c, v))
+    starts = sorted(z for z in system.nodes if z != 0)
+
+    def closing(path, digits, length):
+        if len(digits) == length:
+            return CycleWitness(tuple(path[:-1]), tuple(digits)) if path[-1] == path[0] else None
+        for c, v in sorted(succ.get(path[-1], ())):
+            found = closing(path + [v], digits + [c], length)
+            if found:
+                return found
+        return None
+
+    for length in range(1, len(starts) + 1):
+        for start in starts:
+            found = closing([start], [], length)
+            if found:
+                return found
+    return None
 
 
 # --------------------------------------------------------------------------
@@ -117,6 +150,11 @@ def test_cycle_witness_is_minimal():
     # All of 3, 6, 9 carry self-loops; the least start node must be chosen.
     witness = find_nonzero_cycle(build_graph(12, [0, 33, 66, 99]))
     assert witness.nodes == (3,)
+    # 13 returns through 17 (digits 157, 113) or through 18 (167, 112): the least digits win.
+    system = build_graph(10, [0, 112, 113, 157, 167])
+    witness = find_nonzero_cycle(system)
+    assert witness == CycleWitness(nodes=(13, 17), digits=(157, 113))
+    assert least_cycle_oracle(system) == witness
 
 
 def test_cycle_recurrence_orientation():
@@ -131,6 +169,43 @@ def test_cycle_recurrence_orientation():
     m = witness.length
     for j in range(m):
         assert witness.nodes[j] + witness.digits[j] == 10 * witness.nodes[(j + 1) % m]
+
+
+@pytest.mark.parametrize(
+    "params, t, nodes, digits",
+    [
+        ((2, 7, 3, [1, 2]), 515, (7, 322, 392), (18025, 21630, 0)),
+        ((2, 3, 2, [1]), 1885, (1071, 1503, 1539, 1542), (16965, 16965, 16965, 11310)),
+    ],
+)
+def test_long_cycle_witnesses_are_pinned(params, t, nodes, digits):
+    inst = build_instance(*params)
+    system = scaled_system(inst, t)
+    witness = find_nonzero_cycle(system)
+    assert witness == CycleWitness(nodes=nodes, digits=digits)
+    assert least_cycle_oracle(system) == witness
+    assert witness.verify(inst.M)
+
+
+def test_cycle_search_matches_exhaustive_oracle(family_small):
+    lengths = set()
+    for inst in family_small:
+        for t in range(1, 200, 2):
+            if math.gcd(t, inst.N) != 1:
+                continue
+            system = scaled_system(inst, t)
+            witness = find_nonzero_cycle(system)
+            assert witness == least_cycle_oracle(system), (inst.describe(), t)
+            lengths.add(witness.length if witness else 0)
+        for r in (1, 2, 3):
+            for bits in range(2**r):
+                omega = SignWord.from_bits(r, bits)
+                for t in (1, 3, 5, 7, 11, 13):
+                    if math.gcd(t, inst.N) != 1:
+                        continue
+                    system = scaled_system(inst, t, omega)
+                    assert find_nonzero_cycle(system) == least_cycle_oracle(system), (inst.describe(), omega, t)
+    assert {0, 1, 2} <= lengths
 
 
 def test_word_examples():

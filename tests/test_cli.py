@@ -1,6 +1,9 @@
 import json
 
-from speigen.cli import main
+import pytest
+
+from speigen import InvalidParameters, eigen
+from speigen.cli import _load_config, build_parser, main
 
 INST12 = ["--N", "2", "--R", "3", "--q", "2", "--p", "1"]
 
@@ -9,6 +12,14 @@ def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def reason_codes(argv):
+    """Reason codes of the InvalidParameters a command raises (main prints only the messages)."""
+    args = build_parser().parse_args(argv)
+    with pytest.raises(InvalidParameters) as info:
+        args.func(args, _load_config(args.config))
+    return info.value.codes
 
 
 def test_decide_eleven_json(capsys):
@@ -138,6 +149,22 @@ def test_config_file_errors(tmp_path, capsys):
     bad.write_text("{nope")
     code, _, err = run_cli(capsys, ["decide", "--config", str(bad), "--t", "1"])
     assert code == 2
+    instance = {"N": 2, "R": 3, "q": 2, "p": [1]}
+    cases = [
+        ("signed", {"t": "11", "omega": 5}, "omega_parse", "sign word"),
+        ("signed", {"t": "11", "omega": [1, 2]}, "omega_parse", "sign word"),
+        ("signed", {"t": "11", "omega": [True]}, "omega_parse", "sign word"),
+        ("search", {"t_from": "x", "t_to": 3}, "t_from_parse", "t_from is not a decimal integer"),
+        ("search", {"t_from": 1, "t_to": "x"}, "t_to_parse", "t_to is not a decimal integer"),
+        ("type2", {"t": "3/5", "r_max": "x"}, "r_max_parse", "r_max is not a decimal integer"),
+    ]
+    for command, fields, reason, message in cases:
+        path = tmp_path / f"{reason}.json"
+        path.write_text(json.dumps({**instance, **fields}))
+        argv = [command, "--config", str(path)]
+        code, _, err = run_cli(capsys, argv)
+        assert code == 2 and message in err, (fields, err)
+        assert reason_codes(argv) == [reason]
 
 
 def test_missing_parameters(capsys):
@@ -186,3 +213,26 @@ def test_omega_leading_minus_needs_equals_form(capsys):
     assert json.loads(out)["decision"]["omega"] == [-1, 1]
     code, _, err = run_cli(capsys, ["signed", *INST12, "--t", "11", "--omega=1,2"])
     assert code == 2 and "sign word" in err
+
+
+def test_user_input_errors_from_the_library_keep_their_messages(capsys):
+    cases = [
+        (["search", *INST12, "--t-from", "5", "--t-to", "1"], "t_range", "t_from must not exceed t_to"),
+        (["type2", *INST12, "--t", "3/5", "--r-max", "0"], "r_max", "r_max must be at least 1"),
+        (["validate", *INST12, "--t", "11", "--tol", "0"], "tol", "tol must be positive"),
+        (["validate", "--N", "2", "--R", "3", "--q", "60", "--p", "1", "--t", "1"], "float_range", "M = "),
+        (["validate", "--N", "3", "--R", "2", "--q", "40", "--p", "38", "--t", "1"], "float_range", "N**p_j"),
+    ]
+    for argv, reason, message in cases:
+        code, _, err = run_cli(capsys, argv)
+        assert code == 2 and message in err, (argv, err)
+        assert reason_codes(argv) == [reason]
+
+
+def test_internal_errors_are_not_reported_as_invalid_input(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(eigen, "decide_scaling", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        main(["decide", *INST12, "--t", "11"])
