@@ -147,19 +147,12 @@ def build_graph(b: int, C, node_budget: int = DEFAULT_NODE_BUDGET) -> AttractorS
     lo, hi = _candidate_interval(b, digits)
     node_set = set(nodes)
     edges: list[tuple[int, int, int]] = []
-    if len(digits) <= max(len(nodes), 1):
-        for z in nodes:
-            bz = b * z
-            for c in digits:
-                if bz - c in node_set:
-                    edges.append((z, c, bz - c))
-    else:
-        digit_set = set(digits)
-        for z in nodes:
-            bz = b * z
-            row = [(bz - z2, z2) for z2 in nodes if bz - z2 in digit_set]
-            row.sort()
-            edges.extend((z, c, z2) for c, z2 in row)
+    for z in nodes:
+        bz = b * z
+        # Only digits in the window [b*z - hi, b*z - lo] can land on a node.
+        for c in digits[bisect_left(digits, bz - hi) : bisect_right(digits, bz - lo)]:
+            if bz - c in node_set:
+                edges.append((z, c, bz - c))
     system = AttractorSystem(base=b, digits=digits, lo=lo, hi=hi, nodes=nodes, edges=tuple(edges))
     sources = {edge[0] for edge in system.edges}
     assert all(z in sources for z in nodes)

@@ -1,8 +1,11 @@
 """Command-line interface.
 
 Subcommands: decide, search, signed, type2, attractor, zeroset, validate,
-reproduce-paper.  Instance parameters come from flags or a JSON config file
-(flags win).  Output is a human table by default or JSON with ``--json``;
+reproduce-paper.  ``COMMANDS`` declares each one: its handler, its help
+line, the fields it reads and the message for a missing required field.
+Every field resolves one way: the flag, else the same key in the JSON
+config file (``--config``), else its default; ``--config`` and ``--json``
+are flag-only.  Output is a human table by default or JSON with ``--json``;
 JSON is the stable interface and serializes every potentially large integer
 as a decimal string.  Exit codes: 0 success, 2 invalid instance/config,
 3 budget exhaustion.  Only the package's own errors are mapped to exit
@@ -15,8 +18,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from . import attractor as attractor_mod
 from . import eigen, instance, measure, spectra, validate
@@ -25,18 +29,6 @@ from .errors import BudgetExceeded, InvalidParameters, SpeigenError
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_BUDGET = 3
-
-
-def dumps(obj) -> str:
-    """Single JSON encoder used everywhere, so output is byte-stable."""
-    return json.dumps(obj, indent=2, sort_keys=False, ensure_ascii=False)
-
-
-def parse_rational(text: str) -> Fraction:
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError):
-        raise InvalidParameters([("t_parse", f"not a rational number: {text!r}")]) from None
 
 
 def _parse_p(text: str) -> list[int]:
@@ -62,28 +54,20 @@ def _load_config(path: Optional[str]) -> dict:
     return config
 
 
-def _merged(config: dict, key: str, flag_value):
-    return flag_value if flag_value is not None else config.get(key)
+# --------------------------------------------------------------------------
+# Fields: flag, conversion of a present value, default
+# --------------------------------------------------------------------------
+
+def _rational(value, key: str) -> Fraction:
+    text = str(value)
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        raise InvalidParameters([("t_parse", f"not a rational number: {text!r}")]) from None
 
 
-def _scaling(args, config: dict, missing_msg: str, integer_for: Optional[str] = None) -> Fraction | int:
-    """``--t`` (or config ``"t"``) as a Fraction, or as an int if ``integer_for`` names the command."""
-    text = _merged(config, "t", args.t)
-    if text is None:
-        raise InvalidParameters([("missing", missing_msg)])
-    t = parse_rational(str(text))
-    if integer_for is None:
-        return t
-    if t.denominator != 1:
-        raise InvalidParameters([("t_integer", f"{integer_for} needs an integer t")])
-    return int(t)
-
-
-def _sign_word(args, config: dict) -> Optional[spectra.SignWord]:
-    """``--omega`` as a comma string, or config ``"omega"`` as a string or a list; None if absent."""
-    value = _merged(config, "omega", args.omega)
-    if value is None:
-        return None
+def _sign_word(value, key: str) -> spectra.SignWord:
+    """A comma string (flag or config) or a config list of ints."""
     try:
         if isinstance(value, str):
             return spectra.SignWord.parse(value)
@@ -94,20 +78,58 @@ def _sign_word(args, config: dict) -> Optional[spectra.SignWord]:
     raise InvalidParameters([("omega_parse", f"omega must be a sign word of -1/+1 entries: {value!r}")])
 
 
-def _integer(args, config: dict, key: str) -> Optional[int]:
-    """Integer flag, or config value as an integer or decimal string; None if absent."""
-    value = _merged(config, key, getattr(args, key))
-    return None if value is None else instance._coerce_integer(value, key)
+def _at_least_one(value, key: str) -> int:
+    value = instance._coerce_integer(value, key)
+    if value < 1:
+        raise InvalidParameters([(key, f"{key} must be at least 1")])
+    return value
 
 
-def _instance_from(args: argparse.Namespace, config: dict) -> instance.ProblemInstance:
+def _number(value, key: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise InvalidParameters([(f"{key}_type", f"{key} must be a number")])
+    try:
+        return float(value)
+    except (ValueError, OverflowError):
+        raise InvalidParameters([(f"{key}_parse", f"{key} is not a number: {value!r}")]) from None
+
+
+@dataclass(frozen=True)
+class Field:
+    flag: str
+    options: dict
+    convert: Optional[Callable] = None  # (value, key) -> value; None keeps the value as given
+    default: object = None
+
+
+# Parser order: every subcommand lists its flags in this order.
+FIELDS = {
+    "N": Field("--N", {"type": int, "help": "base digit count (>= 2)"}),
+    "R": Field("--R", {"type": int, "help": "cofactor coprime to N (>= 2)"}),
+    "q": Field("--q", {"type": int, "help": "exponent in M = R * N^q"}),
+    "p": Field("--p", {"help": "comma list of block exponents, e.g. 1,2 (empty for one block)"}, default=()),
+    "config": Field("--config", {"help": "JSON config file with the same fields as the flags"}),
+    "node_budget": Field("--node-budget", {"type": int}, _at_least_one, attractor_mod.DEFAULT_NODE_BUDGET),
+    "tol": Field("--tol", {"type": float, "help": "numeric tolerance for probes"}, _number, 1e-9),
+    "json": Field("--json", {"action": "store_true", "help": "emit the stable JSON report instead of a table"}),
+    "t": Field("--t", {"help": "scaling (integer or a/b); for zeroset: the frequency"}, _rational),
+    "t_from": Field("--t-from", {"type": int}, instance._coerce_integer),
+    "t_to": Field("--t-to", {"type": int}, instance._coerce_integer),
+    "omega": Field("--omega", {"help": "comma list of +-1 signs, e.g. 1,-1"}, _sign_word),
+    "r_max": Field("--r-max", {"type": int, "help": "search bound for a common sign word"}, _at_least_one),
+    "example": Field("--example", {"help": "restrict to one case id: 5.2, 5.3 or 5.4"}),
+}
+INSTANCE = ("N", "R", "q", "p")
+FLAG_ONLY = ("config", "json")
+
+
+def _instance_from(get: Callable) -> instance.ProblemInstance:
     descriptor = {}
-    for key, flag in (("N", args.N), ("R", args.R), ("q", args.q)):
-        value = _merged(config, key, flag)
-        if value is None:
+    for key in ("N", "R", "q"):
+        descriptor[key] = get(key)
+        if descriptor[key] is None:
             raise InvalidParameters([("missing", f"missing instance parameter {key}")])
-        descriptor[key] = value
-    p_value = args.p if args.p is not None else config.get("p", [])
+    p_value = get("p")
     descriptor["p"] = _parse_p(p_value) if isinstance(p_value, str) else p_value
     return instance.from_descriptor(descriptor)
 
@@ -127,14 +149,6 @@ def _instance_report(inst: instance.ProblemInstance) -> dict:
     return out
 
 
-def _emit(args, report: dict, table_lines: list[str]) -> None:
-    if args.json:
-        print(dumps(report))
-    else:
-        for line in table_lines:
-            print(line)
-
-
 def _decision_lines(decision: eigen.EigenDecision) -> list[str]:
     lines = [f"t = {decision.t}: {decision.verdict.value} ({decision.reason.value})"]
     if decision.integer_point_count is not None:
@@ -148,166 +162,93 @@ def _decision_lines(decision: eigen.EigenDecision) -> list[str]:
 
 
 # --------------------------------------------------------------------------
-# Commands
+# Handlers: each returns its own report fields and table lines
 # --------------------------------------------------------------------------
 
-def _cmd_decide(args, config) -> int:
-    inst = _instance_from(args, config)
-    t = _scaling(args, config, "missing scaling --t")
-    decision = eigen.decide_scaling(inst, t, node_budget=args.node_budget)
-    report = {
-        "command": "decide",
-        "instance": _instance_report(inst),
-        "decision": decision.to_json_dict(),
-    }
-    _emit(args, report, [inst.describe(), *_decision_lines(decision)])
-    return EXIT_OK
+def _decide(inst, t, node_budget):
+    decision = eigen.decide_scaling(inst, t, node_budget=node_budget)
+    return {"decision": decision.to_json_dict()}, _decision_lines(decision)
 
 
-def _cmd_search(args, config) -> int:
-    inst = _instance_from(args, config)
-    t_from = _integer(args, config, "t_from")
-    t_to = _integer(args, config, "t_to")
-    if t_from is None or t_to is None:
-        raise InvalidParameters([("missing", "search needs --t-from and --t-to")])
+def _search(inst, t_from, t_to, node_budget):
     if t_from > t_to:
         raise InvalidParameters([("t_range", "t_from must not exceed t_to")])
-    decisions = eigen.search_eigenvalues(inst, t_from, t_to, node_budget=args.node_budget)
-    report = {
-        "command": "search",
-        "instance": _instance_report(inst),
-        "decisions": [d.to_json_dict() for d in decisions],
-    }
-    lines = [inst.describe(), f"{'t':>8}  {'verdict':<12} reason"]
+    decisions = eigen.search_eigenvalues(inst, t_from, t_to, node_budget=node_budget)
+    lines = [f"{'t':>8}  {'verdict':<12} reason"]
     lines += [f"{str(d.t):>8}  {d.verdict.value:<12} {d.reason.value}" for d in decisions]
-    _emit(args, report, lines)
-    return EXIT_OK
+    return {"decisions": [d.to_json_dict() for d in decisions]}, lines
 
 
-def _cmd_signed(args, config) -> int:
-    inst = _instance_from(args, config)
-    missing = "signed needs --t and --omega"
-    if _merged(config, "omega", args.omega) is None:
-        raise InvalidParameters([("missing", missing)])
-    t = _scaling(args, config, missing, integer_for="signed")
-    omega = _sign_word(args, config)
-    decision = eigen.decide_scaling_signed(inst, t, omega, node_budget=args.node_budget)
-    report = {
-        "command": "signed",
-        "instance": _instance_report(inst),
-        "decision": decision.to_json_dict(),
-    }
-    _emit(args, report, [inst.describe(), f"omega = {list(omega.pattern)}", *_decision_lines(decision)])
-    return EXIT_OK
+def _signed(inst, t, omega, node_budget):
+    decision = eigen.decide_scaling_signed(inst, t, omega, node_budget=node_budget)
+    return {"decision": decision.to_json_dict()}, [f"omega = {list(omega.pattern)}", *_decision_lines(decision)]
 
 
-def _cmd_type2(args, config) -> int:
-    inst = _instance_from(args, config)
-    t = _scaling(args, config, "type2 needs --t as t1/t2")
-    r_max = _integer(args, config, "r_max")
-    if r_max is not None and r_max < 1:
-        raise InvalidParameters([("r_max", "r_max must be at least 1")])
+def _type2(inst, t, r_max, node_budget):
     verdict = eigen.decide_second_type(inst, t.numerator, t.denominator)
-    report = {
-        "command": "type2",
-        "instance": _instance_report(inst),
-        "t": str(t),
-        "t1": str(t.numerator),
-        "t2": str(t.denominator),
-        "is_second_type_eigenvalue": verdict,
-    }
-    lines = [
-        inst.describe(),
-        f"t = {t}: {'some set and its t-scaling are both spectra' if verdict else 'no such set exists'}",
-    ]
+    report = {"t": str(t), "t1": str(t.numerator), "t2": str(t.denominator), "is_second_type_eigenvalue": verdict}
+    lines = [f"t = {t}: {'some set and its t-scaling are both spectra' if verdict else 'no such set exists'}"]
     if verdict and r_max is not None:
-        word = eigen.find_sign_word(inst, [abs(t.numerator), abs(t.denominator)], r_max, node_budget=args.node_budget)
+        word = eigen.find_sign_word(inst, [abs(t.numerator), abs(t.denominator)], r_max, node_budget=node_budget)
         report["sign_word"] = list(word.pattern) if word else None
         if word:
             lines.append(f"common sign word (period {word.r}): {list(word.pattern)}")
             lines.append("witness: scale the sign-twisted spectrum by the denominator")
         else:
             lines.append(f"no common sign word found up to period {r_max} (search bound, not a proof)")
-    _emit(args, report, lines)
-    return EXIT_OK
+    return report, lines
 
 
-def _cmd_attractor(args, config) -> int:
-    inst = _instance_from(args, config)
-    t = _scaling(args, config, "attractor needs --t", integer_for="attractor")
-    system = eigen.scaled_system(inst, t, _sign_word(args, config), node_budget=args.node_budget)
+def _attractor(inst, t, omega, node_budget):
+    system = eigen.scaled_system(inst, t, omega, node_budget=node_budget)
     cycle = attractor_mod.find_nonzero_cycle(system)
     report = {
-        "command": "attractor",
-        "instance": _instance_report(inst),
         "t": str(t),
         "graph": system.to_json_dict(),
         "integer_points": len(system.nodes),
         "cycle": cycle.to_json_dict() if cycle else None,
     }
     lines = [
-        inst.describe(),
         f"base {system.base}, {len(system.digits)} digits, candidates [{system.lo}, {system.hi}]",
         f"integer points ({len(system.nodes)}): {list(system.nodes)}",
         f"edges: {len(system.edges)}",
         f"nonzero cycle: {f'nodes {list(cycle.nodes)} digits {list(cycle.digits)}' if cycle else 'none'}",
     ]
-    _emit(args, report, lines)
-    return EXIT_OK
+    return report, lines
 
 
-def _cmd_zeroset(args, config) -> int:
-    inst = _instance_from(args, config)
-    xi = _scaling(args, config, "zeroset needs --t (the frequency to test)")
-    witness = measure.zero_set_decompose(inst, xi if xi.denominator != 1 else int(xi))
+def _zeroset(inst, t):
+    witness = measure.zero_set_decompose(inst, t if t.denominator != 1 else int(t))
     report = {
-        "command": "zeroset",
-        "instance": _instance_report(inst),
-        "xi": str(xi),
+        "xi": str(t),
         "member": witness is not None,
-        "decomposition": None
-        if witness is None
-        else {"k": witness.k, "j": witness.j, "l": str(witness.l)},
+        "decomposition": None if witness is None else {"k": witness.k, "j": witness.j, "l": str(witness.l)},
     }
-    lines = [inst.describe()]
     if witness is None:
-        lines.append(f"xi = {xi}: not in the zero set of the transform")
+        line = f"xi = {t}: not in the zero set of the transform"
     else:
-        lines.append(
-            f"xi = {xi}: zero of the transform; xi = c * M^{witness.k} * N^{inst.exponents[witness.j]} * {witness.l}"
-        )
-    _emit(args, report, lines)
-    return EXIT_OK
+        line = f"xi = {t}: zero of the transform; xi = c * M^{witness.k} * N^{inst.exponents[witness.j]} * {witness.l}"
+    return report, [line]
 
 
-def _check_probe_inputs(inst: instance.ProblemInstance, tol: float) -> None:
-    """The Q probe needs a positive tolerance and M, N**p_j exact in float64."""
+def _validate(inst, t, omega, node_budget, tol):
+    decision = None
+    if omega is None:
+        decision = eigen.decide_scaling(inst, t, node_budget=node_budget)
+    orth_level = spectra.spectrum_level(inst, t, 2, omega)
+    orthogonality = validate.check_orthogonal_set(inst, orth_level.elements)
+    probe_level = spectra.spectrum_level(inst, t, 3, omega)
+    grid = validate.default_grid(decision)
+    # The Q probe needs a positive tolerance and M, N**p_j exact in float64.
     if not tol > 0:
         raise InvalidParameters([("tol", "tol must be positive")])
     try:
         measure._numeric_params(inst)
     except ValueError as exc:
         raise InvalidParameters([("float_range", str(exc))]) from None
-
-
-def _cmd_validate(args, config) -> int:
-    inst = _instance_from(args, config)
-    t = _scaling(args, config, "validate needs --t", integer_for="validate")
-    omega = _sign_word(args, config)
-
-    decision = None
-    if omega is None:
-        decision = eigen.decide_scaling(inst, t, node_budget=args.node_budget)
-    orth_level = spectra.spectrum_level(inst, t, 2, omega)
-    orthogonality = validate.check_orthogonal_set(inst, orth_level.elements)
-    probe_level = spectra.spectrum_level(inst, t, 3, omega)
-    grid = validate.default_grid(decision)
-    _check_probe_inputs(inst, args.tol)
-    probe = validate.completeness_probe(inst, probe_level, grid, tol=args.tol, decision=decision)
+    probe = validate.completeness_probe(inst, probe_level, grid, tol=tol, decision=decision)
 
     report = {
-        "command": "validate",
-        "instance": _instance_report(inst),
         "t": str(t),
         "omega": list(omega.pattern) if omega else None,
         "decision": decision.to_json_dict() if decision else None,
@@ -315,7 +256,7 @@ def _cmd_validate(args, config) -> int:
         "probe": probe.to_json_dict(),
     }
     terminal = [s for s in probe.q_samples if s[1] == probe_level.level]
-    lines = [inst.describe(), f"t = {t}" + (f", omega = {list(omega.pattern)}" if omega else "")]
+    lines = [f"t = {t}" + (f", omega = {list(omega.pattern)}" if omega else "")]
     if decision:
         lines += _decision_lines(decision)
     lines.append(f"level-2 orthogonality: {'exact' if orthogonality.orthogonal else 'FAILED'}")
@@ -329,8 +270,7 @@ def _cmd_validate(args, config) -> int:
         d, confirmed = probe.missing_frequency_check
         lines.append(f"missing frequency {d}: exact vanishing {'confirmed' if confirmed else 'FAILED'}")
     lines.append(f"probe violations: {len(probe.violations)}")
-    _emit(args, report, lines)
-    return EXIT_OK
+    return report, lines
 
 
 # --------------------------------------------------------------------------
@@ -381,7 +321,6 @@ def reproduce_paper(example: Optional[str] = None) -> dict:
     if not cases:
         raise InvalidParameters([("example", f"unknown example id: {example!r} (use 5.2, 5.3 or 5.4)")])
     report = {
-        "command": "reproduce-paper",
         "cases": [
             {
                 "id": case_id,
@@ -396,8 +335,7 @@ def reproduce_paper(example: Optional[str] = None) -> dict:
     return report
 
 
-def _cmd_reproduce(args, config) -> int:
-    example = _merged(config, "example", args.example)
+def _reproduce(example):
     report = reproduce_paper(example)
     lines = []
     for case in report["cases"]:
@@ -408,23 +346,54 @@ def _cmd_reproduce(args, config) -> int:
             lines.append(f"  t = {row['t']:>4}: {row['observed']:<12} expected {row['expected']:<12} [{status}]")
         lines.append(f"  case result: {'pass' if case['pass'] else 'FAIL'}")
     lines.append(f"overall: {'pass' if report['pass'] else 'FAIL'}")
-    _emit(args, report, lines)
-    return EXIT_OK
+    return report, lines
 
 
 # --------------------------------------------------------------------------
-# Parser and entry point
+# Command table, parser and dispatch
 # --------------------------------------------------------------------------
 
-def _add_instance_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--N", type=int, default=None, help="base digit count (>= 2)")
-    parser.add_argument("--R", type=int, default=None, help="cofactor coprime to N (>= 2)")
-    parser.add_argument("--q", type=int, default=None, help="exponent in M = R * N^q")
-    parser.add_argument("--p", type=str, default=None, help="comma list of block exponents, e.g. 1,2 (empty for one block)")
-    parser.add_argument("--config", type=str, default=None, help="JSON config file with the same fields as the flags")
-    parser.add_argument("--node-budget", dest="node_budget", type=int, default=attractor_mod.DEFAULT_NODE_BUDGET)
-    parser.add_argument("--tol", type=float, default=1e-9, help="numeric tolerance for probes")
-    parser.add_argument("--json", action="store_true", help="emit the stable JSON report instead of a table")
+@dataclass(frozen=True)
+class Command:
+    run: Callable  # (inst, **fields) -> (report fields, table lines); no inst without the instance flags
+    help: str
+    flags: tuple[str, ...]  # fields read, in resolution order; --config and --json come with every command
+    required: tuple[str, ...] = ()
+    missing: str = ""  # message when a required field is absent
+    integer_t: bool = False  # "<command> needs an integer t"
+
+
+COMMANDS = {
+    "decide": Command(
+        _decide, "decide whether t * Lambda is a spectrum",
+        (*INSTANCE, "t", "node_budget"), ("t",), "missing scaling --t",
+    ),
+    "search": Command(
+        _search, "decide a whole range of integer scalings",
+        (*INSTANCE, "t_from", "t_to", "node_budget"), ("t_from", "t_to"), "search needs --t-from and --t-to",
+    ),
+    "signed": Command(
+        _signed, "decide a scaling against a sign-twisted spectrum",
+        (*INSTANCE, "t", "omega", "node_budget"), ("t", "omega"), "signed needs --t and --omega", integer_t=True,
+    ),
+    "type2": Command(
+        _type2, "decide the two-sided scaling problem for t = t1/t2",
+        (*INSTANCE, "t", "r_max", "node_budget"), ("t",), "type2 needs --t as t1/t2",
+    ),
+    "attractor": Command(
+        _attractor, "export the integer-point transition graph",
+        (*INSTANCE, "t", "omega", "node_budget"), ("t",), "attractor needs --t", integer_t=True,
+    ),
+    "zeroset": Command(
+        _zeroset, "test a rational frequency against the transform's zero set",
+        (*INSTANCE, "t"), ("t",), "zeroset needs --t (the frequency to test)",
+    ),
+    "validate": Command(
+        _validate, "exact orthogonality plus completeness probes",
+        (*INSTANCE, "t", "omega", "node_budget", "tol"), ("t",), "validate needs --t", integer_t=True,
+    ),
+    "reproduce-paper": Command(_reproduce, "run the built-in reference scenarios", ("example",)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -433,52 +402,70 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact scaling-eigenvalue decisions for product-form self-similar spectral measures.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    specs = {
-        "decide": (_cmd_decide, "decide whether t * Lambda is a spectrum"),
-        "search": (_cmd_search, "decide a whole range of integer scalings"),
-        "signed": (_cmd_signed, "decide a scaling against a sign-twisted spectrum"),
-        "type2": (_cmd_type2, "decide the two-sided scaling problem for t = t1/t2"),
-        "attractor": (_cmd_attractor, "export the integer-point transition graph"),
-        "zeroset": (_cmd_zeroset, "test a rational frequency against the transform's zero set"),
-        "validate": (_cmd_validate, "exact orthogonality plus completeness probes"),
-        "reproduce-paper": (_cmd_reproduce, "run the built-in reference scenarios"),
-    }
-    for name, (func, help_text) in specs.items():
-        cmd = sub.add_parser(name, help=help_text)
-        _add_instance_flags(cmd)
-        if name in ("decide", "signed", "type2", "attractor", "zeroset", "validate"):
-            cmd.add_argument("--t", type=str, default=None, help="scaling (integer or a/b); for zeroset: the frequency")
-        if name == "search":
-            cmd.add_argument("--t-from", dest="t_from", type=int, default=None)
-            cmd.add_argument("--t-to", dest="t_to", type=int, default=None)
-        if name in ("signed", "attractor", "validate"):
-            cmd.add_argument("--omega", type=str, default=None, help="comma list of +-1 signs, e.g. 1,-1")
-        if name == "type2":
-            cmd.add_argument("--r-max", dest="r_max", type=int, default=None, help="search bound for a common sign word")
-        if name == "reproduce-paper":
-            cmd.add_argument("--example", type=str, default=None, help="restrict to one case id: 5.2, 5.3 or 5.4")
-        cmd.set_defaults(func=func)
+    for name, command in COMMANDS.items():
+        cmd = sub.add_parser(name, help=command.help)
+        for key, spec in FIELDS.items():
+            if key in command.flags or key in FLAG_ONLY:
+                cmd.add_argument(spec.flag, **spec.options)
     return parser
+
+
+def execute(args: argparse.Namespace) -> tuple[dict, list[str]]:
+    """Resolve the command's fields, run it and put the instance header first.
+
+    The instance is built before anything else; then every required field
+    must be present, and only then are fields converted, in declared order.
+    """
+    name = args.command
+    command = COMMANDS[name]
+    config = _load_config(args.config)
+
+    def get(key: str):
+        for value in (getattr(args, key), config.get(key)):
+            if value is not None:
+                return value
+        return FIELDS[key].default
+
+    report, lines, values = {"command": name}, [], {}
+    if INSTANCE[0] in command.flags:  # the instance flags come as one group
+        inst = _instance_from(get)
+        report["instance"] = _instance_report(inst)
+        lines.append(inst.describe())
+        values["inst"] = inst
+    fields = [key for key in command.flags if key not in INSTANCE]
+    raw = {key: get(key) for key in fields}
+    if any(raw[key] is None for key in command.required):
+        raise InvalidParameters([("missing", command.missing)])
+    for key in fields:
+        value, convert = raw[key], FIELDS[key].convert
+        if value is not None and convert is not None:
+            value = convert(value, key)
+        if key == "t" and command.integer_t:
+            if value.denominator != 1:
+                raise InvalidParameters([("t_integer", f"{name} needs an integer t")])
+            value = int(value)
+        values[key] = value
+    own_report, own_lines = command.run(**values)
+    report.update(own_report)
+    return report, lines + own_lines
+
+
+def dispatch(args: argparse.Namespace) -> int:
+    """Run one parsed command and print its report; package errors become exit codes."""
+    try:
+        report, lines = execute(args)
+    except SpeigenError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET if isinstance(exc, BudgetExceeded) else EXIT_INVALID
+    # One encoder and fixed options keep the JSON report byte-stable.
+    print(json.dumps(report, indent=2, ensure_ascii=False) if args.json else "\n".join(lines))
+    return EXIT_OK
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)  # JSON reports write M = R * N**q in full, however long
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        config = _load_config(getattr(args, "config", None))
-        return args.func(args, config)
-    except InvalidParameters as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except SpeigenError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    return dispatch(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ from .attractor import (
 from .attractor import find_nonzero_cycle as _find_nonzero_cycle
 from .errors import ZeroScaling
 from .instance import ProblemInstance
-from .spectra import DEFAULT_ELEMENT_BUDGET, SignWord, block_digit_set
+from .spectra import SignWord, block_digit_set
 
 
 class Verdict(str, Enum):
@@ -93,7 +93,6 @@ def scaled_system(
     t: int,
     omega: Optional[SignWord] = None,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    element_budget: int = DEFAULT_ELEMENT_BUDGET,
 ) -> AttractorSystem:
     """Integer-point transition graph whose cycles decide the scaling t.
 
@@ -102,7 +101,7 @@ def scaled_system(
     """
     if omega is None:
         return build_graph(inst.M, [abs(t) * l for l in inst.L], node_budget=node_budget)
-    blocks = block_digit_set(inst, omega, abs(t), element_budget=element_budget)
+    blocks = block_digit_set(inst, omega, abs(t))
     return build_graph(inst.M**omega.r, blocks, node_budget=node_budget)
 
 
@@ -157,7 +156,6 @@ def decide_scaling_signed(
     t: int,
     omega: SignWord,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    element_budget: int = DEFAULT_ELEMENT_BUDGET,
 ) -> EigenDecision:
     """Same cycle criterion for the sign-twisted spectrum of a periodic word.
 
@@ -171,19 +169,17 @@ def decide_scaling_signed(
         raise ZeroScaling("scaling t must be nonzero")
     if math.gcd(abs(t), inst.N) != 1:
         return EigenDecision(t=t, verdict=Verdict.NOT_SPECTRUM, reason=Reason.SHARES_FACTOR_WITH_N, omega=omega)
-    system = scaled_system(inst, t, omega, node_budget=node_budget, element_budget=element_budget)
-    return _graph_decision(t, omega, system)
+    return _graph_decision(t, omega, scaled_system(inst, t, omega, node_budget=node_budget))
 
 
-def _divisors(n: int) -> list[int]:
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return sorted(out)
+def _integer_root(n: int, k: int) -> int:
+    """Largest u with u**k <= n, for n >= 1, in exact integer arithmetic."""
+    u = 1 << -(-n.bit_length() // k)  # u**k > n: Newton's iteration descends from above
+    while True:
+        v = ((k - 1) * u + n // u ** (k - 1)) // k
+        if v >= u:
+            return u
+        u = v
 
 
 def shortcut_divisor(inst: ProblemInstance, t: int) -> Optional[Verdict]:
@@ -191,20 +187,17 @@ def shortcut_divisor(inst: ProblemInstance, t: int) -> Optional[Verdict]:
 
     Such t are coprime to every M**n - 1, which caps the digit sums strictly
     below the modulus and rules out any witness word; the full decision
-    procedure can never disagree.  Divisor candidates are drawn from
-    gcd(R, t) so R itself is never factored.
+    procedure can never disagree.  t is such a power exactly when, for some
+    k below its bit length, its integer k-th root u satisfies u**k == t and
+    divides R, so neither R nor t is ever factored.
     """
     if not isinstance(t, int) or isinstance(t, bool) or t < 1:
         raise ValueError("shortcut requires an integer t >= 1")
     if t == 1:
         return Verdict.SPECTRUM
-    for u in _divisors(math.gcd(inst.R, t)):
-        if u < 2:
-            continue
-        x = t
-        while x % u == 0:
-            x //= u
-        if x == 1:
+    for k in range(1, t.bit_length()):
+        u = _integer_root(t, k)
+        if u**k == t and inst.R % u == 0:
             return Verdict.SPECTRUM
     return None
 
@@ -238,7 +231,6 @@ def find_sign_word(
     ts: Sequence[int],
     r_max: int,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    element_budget: int = DEFAULT_ELEMENT_BUDGET,
 ) -> Optional[SignWord]:
     """First periodic sign word making every listed scaling a spectrum.
 
@@ -261,12 +253,7 @@ def find_sign_word(
     for r in range(1, r_max + 1):
         for bits in range(2**r):
             omega = SignWord.from_bits(r, bits)
-            if all(
-                decide_scaling_signed(
-                    inst, t, omega, node_budget=node_budget, element_budget=element_budget
-                ).verdict
-                is Verdict.SPECTRUM
-                for t in ts
-            ):
+            decisions = (decide_scaling_signed(inst, t, omega, node_budget=node_budget) for t in ts)
+            if all(d.verdict is Verdict.SPECTRUM for d in decisions):
                 return omega
     return None

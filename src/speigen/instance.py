@@ -170,7 +170,7 @@ def _coerce_integer(value, name: str) -> int:
     raise InvalidParameters([(f"{name}_type", f"{name} must be an integer or decimal string")])
 
 
-def from_descriptor(descriptor: dict | str, digit_budget: int = DEFAULT_DIGIT_BUDGET) -> ProblemInstance:
+def from_descriptor(descriptor: dict | str) -> ProblemInstance:
     """Build an instance from a JSON descriptor ``{"N":..,"R":..,"q":..,"p":[..]}``.
 
     Integers may be given natively or as decimal strings (the wire form used
@@ -190,4 +190,4 @@ def from_descriptor(descriptor: dict | str, digit_budget: int = DEFAULT_DIGIT_BU
     if not isinstance(raw_p, (list, tuple)):
         raise InvalidParameters([("p_type", "p must be a list of integers")])
     p = [_coerce_integer(entry, "p") for entry in raw_p]
-    return build_instance(N, R, q, p, digit_budget=digit_budget)
+    return build_instance(N, R, q, p)

@@ -73,7 +73,7 @@ def fourier_value(inst: ProblemInstance, xi: float, tol: float = 1e-12) -> compl
     so the product over the discarded levels differs from 1 by at most
     ``tol * e``; the returned value carries that absolute error guarantee.
     """
-    if tol <= 0:
+    if not tol > 0:  # NaN included
         raise ValueError("tol must be positive")
     n_base, scales, m_scale, max_digit = _numeric_params(inst)
     x = float(xi)
@@ -90,7 +90,7 @@ def fourier_value(inst: ProblemInstance, xi: float, tol: float = 1e-12) -> compl
 
 def fourier_values(inst: ProblemInstance, xs, tol: float = 1e-12) -> np.ndarray:
     """Vectorized :func:`fourier_value` over a batch of frequencies."""
-    if tol <= 0:
+    if not tol > 0:  # NaN included
         raise ValueError("tol must be positive")
     from . import _kernels
 

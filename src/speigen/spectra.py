@@ -105,11 +105,6 @@ def spectrum_level(
     return SpectrumTruncation(instance=inst, t=t, omega=omega, level=k, elements=elements)
 
 
-def block_digit_set(
-    inst: ProblemInstance,
-    omega: SignWord,
-    t: int,
-    element_budget: int = DEFAULT_ELEMENT_BUDGET,
-) -> tuple[int, ...]:
+def block_digit_set(inst: ProblemInstance, omega: SignWord, t: int) -> tuple[int, ...]:
     """Scaled block digits t * { sum_{k<=r} l_k w_k M**(k-1) } for one period of omega."""
-    return spectrum_level(inst, t, omega.r, omega, element_budget=element_budget).elements
+    return spectrum_level(inst, t, omega.r, omega).elements

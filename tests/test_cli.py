@@ -3,7 +3,7 @@ import json
 import pytest
 
 from speigen import InvalidParameters, eigen
-from speigen.cli import _load_config, build_parser, main
+from speigen.cli import build_parser, execute, main
 
 INST12 = ["--N", "2", "--R", "3", "--q", "2", "--p", "1"]
 
@@ -18,7 +18,7 @@ def reason_codes(argv):
     """Reason codes of the InvalidParameters a command raises (main prints only the messages)."""
     args = build_parser().parse_args(argv)
     with pytest.raises(InvalidParameters) as info:
-        args.func(args, _load_config(args.config))
+        execute(args)
     return info.value.codes
 
 
@@ -157,6 +157,8 @@ def test_config_file_errors(tmp_path, capsys):
         ("search", {"t_from": "x", "t_to": 3}, "t_from_parse", "t_from is not a decimal integer"),
         ("search", {"t_from": 1, "t_to": "x"}, "t_to_parse", "t_to is not a decimal integer"),
         ("type2", {"t": "3/5", "r_max": "x"}, "r_max_parse", "r_max is not a decimal integer"),
+        ("decide", {"t": "11", "node_budget": 0}, "node_budget", "node_budget must be at least 1"),
+        ("validate", {"t": "11", "tol": "x"}, "tol_parse", "tol is not a number"),
     ]
     for command, fields, reason, message in cases:
         path = tmp_path / f"{reason}.json"
@@ -165,6 +167,30 @@ def test_config_file_errors(tmp_path, capsys):
         code, _, err = run_cli(capsys, argv)
         assert code == 2 and message in err, (fields, err)
         assert reason_codes(argv) == [reason]
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    argv = ["decide", "--config", str(listed), *INST12, "--t", "1"]
+    code, _, err = run_cli(capsys, argv)
+    assert code == 2 and "config file must hold a JSON object" in err
+    assert reason_codes(argv) == ["config"]
+
+
+def test_config_tol_and_node_budget_are_read(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"N": 2, "R": 3, "q": 2, "p": [1], "t": "11", "tol": 0, "node_budget": 1}))
+    assert reason_codes(["validate", "--config", str(path), "--node-budget", "100"]) == ["tol"]
+    code, _, err = run_cli(capsys, ["decide", "--config", str(path)])
+    assert code == 3 and "budget is 1" in err
+    code, _, _ = run_cli(capsys, ["decide", "--config", str(path), "--node-budget", "100"])
+    assert code == 0
+
+
+def test_flags_a_command_does_not_read_are_rejected(capsys):
+    for argv in (["decide", *INST12, "--t", "11", "--tol", "1e-3"], ["reproduce-paper", "--N", "2"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_missing_parameters(capsys):
@@ -222,6 +248,11 @@ def test_user_input_errors_from_the_library_keep_their_messages(capsys):
         (["validate", *INST12, "--t", "11", "--tol", "0"], "tol", "tol must be positive"),
         (["validate", "--N", "2", "--R", "3", "--q", "60", "--p", "1", "--t", "1"], "float_range", "M = "),
         (["validate", "--N", "3", "--R", "2", "--q", "40", "--p", "38", "--t", "1"], "float_range", "N**p_j"),
+        (["search", *INST12, "--t-from", "1"], "missing", "search needs --t-from and --t-to"),
+        (["signed", *INST12, "--t", "11"], "missing", "signed needs --t and --omega"),
+        (["decide", *INST12, "--t", "abc"], "t_parse", "not a rational number: 'abc'"),
+        (["decide", "--N", "2", "--R", "3", "--q", "2", "--p", "1,x", "--t", "3"], "p_parse", "list of integers"),
+        (["decide", *INST12, "--t", "11", "--node-budget", "-5"], "node_budget", "node_budget must be at least 1"),
     ]
     for argv, reason, message in cases:
         code, _, err = run_cli(capsys, argv)

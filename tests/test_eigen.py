@@ -9,6 +9,7 @@ from speigen import (
     Verdict,
     ZeroScaling,
     build_graph,
+    build_instance,
     block_digit_set,
     decide_scaling,
     decide_scaling_signed,
@@ -142,6 +143,41 @@ def test_shortcut_examples(inst12, inst120):
     assert shortcut_divisor(inst12, 1) is Verdict.SPECTRUM
     with pytest.raises(ValueError):
         shortcut_divisor(inst12, 0)
+
+
+def trial_division_shortcut(R, t):
+    """Reference rule: t >= 2 is a power of some divisor u >= 2 of gcd(R, t), found by trial division."""
+    if t == 1:
+        return Verdict.SPECTRUM
+    n = math.gcd(R, t)
+    divisors = {d for d in range(1, math.isqrt(n) + 1) if n % d == 0}
+    for u in sorted(divisors | {n // d for d in divisors}):
+        if u < 2:
+            continue
+        x = t
+        while x % u == 0:
+            x //= u
+        if x == 1:
+            return Verdict.SPECTRUM
+    return None
+
+
+def test_shortcut_matches_trial_division():
+    for N in (2, 3):
+        for R in range(2, 61):
+            if math.gcd(R, N) != 1:
+                continue
+            inst = build_instance(N, R, 1)
+            for t in range(1, 1001):
+                assert shortcut_divisor(inst, t) is trial_division_shortcut(R, t), (N, R, t)
+
+
+def test_shortcut_on_a_large_prime_cofactor():
+    R = 2**61 - 1
+    inst = build_instance(2, R, 2, [1])
+    assert shortcut_divisor(inst, R) is Verdict.SPECTRUM
+    assert shortcut_divisor(inst, R**2) is Verdict.SPECTRUM
+    assert shortcut_divisor(inst, 3 * R) is None
 
 
 def test_shortcut_never_contradicts(inst12, inst48, inst120):

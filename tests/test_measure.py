@@ -11,6 +11,7 @@ from speigen import (
     SizeMismatch,
     ZeroScaling,
     fourier_value,
+    fourier_values,
     hadamard_check_exact,
     hadamard_check_numeric,
     mask_value,
@@ -90,8 +91,11 @@ def test_fourier_bounded(inst48):
 
 
 def test_fourier_rejects_bad_tol(inst12):
-    with pytest.raises(ValueError):
-        fourier_value(inst12, 1.0, 0.0)
+    for tol in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            fourier_value(inst12, 0.3, tol)
+        with pytest.raises(ValueError):
+            fourier_values(inst12, [0.3], tol)
 
 
 # --------------------------------------------------------------------------
