@@ -3,13 +3,16 @@
 ``T(b, C)`` is the compact set of base-b expansions ``sum_j b**-j c_j`` with
 digits from C.  Its integer points all lie in the interval
 ``[ceil(min C / (b-1)), floor(max C / (b-1))]`` and form the greatest fixed
-point of ``S -> {z : exists c in C with b*z - c in S}``, computed here by
-worklist removal.  A cycle through nonzero integer points (equivalently a
-word witness for the divisibility criterion) certifies that the scaled set
-fails to be a spectrum.  ``find_nonzero_cycle`` returns the least such cycle
-in (length, start node, digit sequence) order: one reverse BFS per start
-finds the least length and start, and a greedy least-digit walk along the
-BFS distances reads off the digits without backtracking.
+point of ``S -> {z : exists c in C with b*z - c in S}``.  ``integer_points``
+first narrows the interval to the integers that word sums of the digits
+still cover, about ``width ** (log #C / log b)`` of them, then computes the
+fixed point by worklist removal on those candidates.  A cycle through
+nonzero integer points (equivalently a word witness for the divisibility
+criterion) certifies that the scaled set fails to be a spectrum.
+``find_nonzero_cycle`` returns the least such cycle in (length, start node,
+digit sequence) order: one reverse BFS per start finds the least length and
+start, and a greedy least-digit walk along the BFS distances reads off the
+digits without backtracking.
 ``word_witness_search`` is the brute-force oracle for the same criterion,
 least in (length, lexicographic) order.
 """
@@ -17,7 +20,6 @@ least in (length, lexicographic) order.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -91,12 +93,58 @@ def _candidate_interval(b: int, digits: Sequence[int]) -> tuple[int, int]:
     return lo, hi
 
 
-def integer_points(b: int, C, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[int, ...]:
-    """All integers in T(b, C), by pruning the candidate interval to stability.
+def _covered_ranges(b: int, digits: list[int], lo: int, hi: int, node_budget: int) -> list[tuple[int, int]]:
+    """Disjoint sorted ranges of the integers that phase 1 of ``integer_points`` keeps.
 
-    A candidate z survives iff some digit c keeps ``b*z - c`` among the
-    survivors; the worklist removes zero-out-degree nodes and decrements
-    their predecessors, which converges to the greatest fixed point.
+    A word sum w of level k covers the integers z with ``b**k * z - w`` in
+    [lo, hi].  Level k+1 extends each w by the digits in the window that
+    keeps such z inside [lo, hi], and keeps a sum iff it still covers an
+    integer: inside that window, iff [lo + w, hi + w] holds a multiple of
+    ``b**(k+1)``.
+    """
+    words, scale = {0}, 1
+    while True:
+        ranges: list[tuple[int, int]] = []
+        for w in sorted(words):  # ranges start in the order of their word sums
+            first, last = max(lo, -((-(lo + w)) // scale)), min(hi, (hi + w) // scale)
+            if ranges and first <= ranges[-1][1] + 1:
+                ranges[-1] = (ranges[-1][0], max(last, ranges[-1][1]))
+            else:
+                ranges.append((first, last))
+        covered = sum(last - first + 1 for first, last in ranges)
+        if covered <= len(words) * len(digits):  # a scan is now cheaper than another level
+            return ranges
+        scale *= b
+        refined = set()
+        for w in words:
+            bw = b * w
+            for c in digits[bisect_left(digits, scale * lo - hi - bw) : bisect_right(digits, scale * hi - lo - bw)]:
+                if (hi + bw + c) % scale <= hi - lo:
+                    refined.add(bw + c)
+            if len(refined) > node_budget:  # checked as the level grows, so memory stays bounded
+                raise BudgetExceeded("attractor word sums", len(refined), node_budget)
+        words = refined
+
+
+def integer_points(b: int, C, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[int, ...]:
+    """All integers in T(b, C): refine word sums, then prune candidates to stability.
+
+    Every integer point z lies in the candidate interval ``[lo, hi]``, and so
+    does ``b**k * z - w`` for the sum ``w = sum_j b**(k-j) c_j`` of the first
+    k digits of an expansion of z.  Phase 1 keeps, level by level, the word
+    sums that still cover an integer, and stops once the integers covered
+    number no more than word sums times digits: from there a scan is cheaper
+    than another level.  A short interval with many digits stops at level 0,
+    the whole interval.
+
+    Phase 2 runs the worklist on the covered integers: a candidate z survives
+    iff some digit c keeps ``b*z - c`` among the survivors.  Removing
+    zero-out-degree nodes and decrementing their predecessors converges to
+    the greatest fixed point inside the candidates, which is exactly the set
+    of integer points, since they form a fixed set inside it.
+
+    ``node_budget`` bounds the word sums of a level and the candidates the
+    fixpoint holds, not the width of the interval.
     """
     if b < 2:
         raise ValueError("base b must be at least 2")
@@ -106,38 +154,41 @@ def integer_points(b: int, C, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[i
     lo, hi = _candidate_interval(b, digits)
     if hi < lo:
         return ()
-    count = hi - lo + 1
+    ranges = _covered_ranges(b, digits, lo, hi, node_budget)
+    count = sum(last - first + 1 for first, last in ranges)
     if count > node_budget:
-        raise BudgetExceeded("attractor candidate interval", count, node_budget)
+        raise BudgetExceeded("attractor candidates", count, node_budget)
 
-    # Out-degree of z = number of digits in the window [b*z - hi, b*z - lo].
-    alive = bytearray([1]) * count
-    degree = [0] * count
-    dead: deque[int] = deque()
-    for i in range(count):
-        z = lo + i
-        degree[i] = bisect_right(digits, b * z - lo) - bisect_left(digits, b * z - hi)
-        if degree[i] == 0:
-            alive[i] = 0
-            dead.append(i)
+    # Out-degree of z: digits in the window [b*z - hi, b*z - lo] landing on a candidate.
+    degree = dict.fromkeys((z for first, last in ranges for z in range(first, last + 1)), 0)
+    dead: list[int] = []
+    for z in degree:
+        bz = b * z
+        out = 0
+        for c in digits[bisect_left(digits, bz - hi) : bisect_right(digits, bz - lo)]:
+            if bz - c in degree:
+                out += 1
+        degree[z] = out
+        if out == 0:
+            dead.append(z)
+    for z in dead:
+        del degree[z]
 
     by_residue: dict[int, list[int]] = {}
     for c in digits:
         by_residue.setdefault(c % b, []).append(c)
 
     while dead:
-        y = lo + dead.popleft()
+        y = dead.pop()
         for c in by_residue.get((-y) % b, ()):
             x = (y + c) // b
-            if lo <= x <= hi:
-                xi = x - lo
-                if alive[xi]:
-                    degree[xi] -= 1
-                    if degree[xi] == 0:
-                        alive[xi] = 0
-                        dead.append(xi)
+            if x in degree:
+                degree[x] -= 1
+                if degree[x] == 0:
+                    del degree[x]
+                    dead.append(x)
 
-    return tuple(lo + i for i in range(count) if alive[i])
+    return tuple(sorted(degree))
 
 
 def build_graph(b: int, C, node_budget: int = DEFAULT_NODE_BUDGET) -> AttractorSystem:

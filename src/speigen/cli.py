@@ -16,6 +16,7 @@ process exits 1 with a traceback.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -396,7 +397,9 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser for every subcommand, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="speigen",
         description="Exact scaling-eigenvalue decisions for product-form self-similar spectral measures.",
@@ -419,6 +422,13 @@ def execute(args: argparse.Namespace) -> tuple[dict, list[str]]:
     name = args.command
     command = COMMANDS[name]
     config = _load_config(args.config)
+    # The subcommands that take an instance may share one config file, so a
+    # key passes when any of them reads it; reproduce-paper reads its own.
+    takes_instance = INSTANCE[0] in command.flags  # the instance flags come as one group
+    readable = {key for c in COMMANDS.values() if (INSTANCE[0] in c.flags) == takes_instance for key in c.flags}
+    unread = sorted(set(config) - readable)
+    if unread:
+        raise InvalidParameters([("config_key", f"config keys not read by {name}: {', '.join(map(repr, unread))}")])
 
     def get(key: str):
         for value in (getattr(args, key), config.get(key)):
@@ -427,7 +437,7 @@ def execute(args: argparse.Namespace) -> tuple[dict, list[str]]:
         return FIELDS[key].default
 
     report, lines, values = {"command": name}, [], {}
-    if INSTANCE[0] in command.flags:  # the instance flags come as one group
+    if takes_instance:
         inst = _instance_from(get)
         report["instance"] = _instance_report(inst)
         lines.append(inst.describe())

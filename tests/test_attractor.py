@@ -1,6 +1,10 @@
 import math
+from bisect import bisect_left, bisect_right
+from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from speigen import (
     BudgetExceeded,
@@ -13,7 +17,9 @@ from speigen import (
     integer_points,
     word_witness_search,
 )
-from speigen.eigen import scaled_system
+from speigen.eigen import Verdict, decide_scaling, scaled_system
+
+from conftest import instance_family
 
 
 def brute_force_members(b, digits, lo, hi):
@@ -27,6 +33,43 @@ def brute_force_members(b, digits, lo, hi):
     for _ in range(hi - lo + 2):
         alive = {z for z in alive if any(b * z - c in alive for c in digits)}
     return alive
+
+
+def dense_integer_points(b, C):
+    """Reference enumeration: the worklist fixpoint over the whole candidate interval.
+
+    Every integer of ``[ceil(min C / (b-1)), floor(max C / (b-1))]`` starts
+    alive with its out-degree; zero-degree nodes are removed and their
+    predecessors decremented until nothing changes.  O(width) work.
+    """
+    digits = sorted(set(C))
+    lo = -((-digits[0]) // (b - 1))
+    hi = digits[-1] // (b - 1)
+    if hi < lo:
+        return ()
+    count = hi - lo + 1
+    alive = bytearray([1]) * count
+    degree = [0] * count
+    dead = deque()
+    for i in range(count):
+        z = lo + i
+        degree[i] = bisect_right(digits, b * z - lo) - bisect_left(digits, b * z - hi)
+        if degree[i] == 0:
+            alive[i] = 0
+            dead.append(i)
+    by_residue = {}
+    for c in digits:
+        by_residue.setdefault(c % b, []).append(c)
+    while dead:
+        y = lo + dead.popleft()
+        for c in by_residue.get((-y) % b, ()):
+            x = (y + c) // b
+            if lo <= x <= hi and alive[x - lo]:
+                degree[x - lo] -= 1
+                if degree[x - lo] == 0:
+                    alive[x - lo] = 0
+                    dead.append(x - lo)
+    return tuple(lo + i for i in range(count) if alive[i])
 
 
 def least_cycle_oracle(system):
@@ -77,9 +120,44 @@ def test_integer_points_against_brute_force(inst12, inst48):
         assert set(integer_points(b, digits)) == brute_force_members(b, digits, lo, hi)
 
 
-def test_integer_points_budget():
+@st.composite
+def digit_systems(draw):
+    b = draw(st.integers(2, 60))
+    spread = draw(st.sampled_from([1, 10, 100, 1000]))
+    digits = draw(st.sets(st.integers(-spread * b, spread * b), min_size=1, max_size=min(b - 1, 12)))
+    return b, sorted(digits)
+
+
+@settings(max_examples=400, deadline=None)
+@given(digit_systems())
+def test_integer_points_match_the_dense_scan(system):
+    b, digits = system
+    assert integer_points(b, digits) == dense_integer_points(b, digits)
+
+
+@pytest.mark.parametrize("inst", instance_family(m_limit=400), ids=lambda inst: inst.describe())
+def test_integer_points_match_the_dense_scan_on_the_family(inst):
+    for t in range(1, 200, 2):
+        digits = [t * l for l in inst.L]
+        assert integer_points(inst.M, digits) == dense_integer_points(inst.M, digits), t
+
+
+def test_integer_points_beyond_the_dense_scan(inst12):
+    # Candidate intervals of about 8e8 and 8e9 integers; the refinement keeps a few thousand.
+    assert len(integer_points(12, [(10**9 + 1) * l for l in inst12.L])) == 136
+    assert integer_points(12, [(10**10 + 1) * l for l in inst12.L]) == (0,)
+    decision = decide_scaling(inst12, 10**11 + 1)
+    assert decision.verdict is Verdict.NOT_SPECTRUM and decision.integer_point_count == 4
+    assert decision.cycle.nodes == (27272727273,) and decision.cycle.verify(12)
+
+
+def test_integer_points_budget(inst12):
+    # The budget counts the candidates the fixpoint holds: 4 here, out of an interval of 10.
     with pytest.raises(BudgetExceeded):
-        integer_points(12, [0, 33, 66, 99], node_budget=5)
+        integer_points(12, [0, 33, 66, 99], node_budget=3)
+    assert integer_points(12, [0, 33, 66, 99], node_budget=4) == (0, 3, 6, 9)
+    # An interval of 818,182 integers whose candidates fit a budget of 10**4.
+    assert len(integer_points(12, [10**6 * l for l in inst12.L], node_budget=10**4)) == 12
 
 
 def test_integer_points_validation():

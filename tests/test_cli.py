@@ -159,6 +159,10 @@ def test_config_file_errors(tmp_path, capsys):
         ("type2", {"t": "3/5", "r_max": "x"}, "r_max_parse", "r_max is not a decimal integer"),
         ("decide", {"t": "11", "node_budget": 0}, "node_budget", "node_budget must be at least 1"),
         ("validate", {"t": "11", "tol": "x"}, "tol_parse", "tol is not a number"),
+        ("decide", {"t": "11", "node-budget": 5}, "config_key", "config keys not read by decide: 'node-budget'"),
+        ("search", {"t-from": 1, "t_to": 3}, "config_key", "config keys not read by search: 't-from'"),
+        ("decide", {"t": "11", "json": True, "example": "5.2"}, "config_key", "'example', 'json'"),
+        ("reproduce-paper", {}, "config_key", "config keys not read by reproduce-paper: 'N', 'R', 'p', 'q'"),
     ]
     for command, fields, reason, message in cases:
         path = tmp_path / f"{reason}.json"
@@ -239,6 +243,27 @@ def test_omega_leading_minus_needs_equals_form(capsys):
     assert json.loads(out)["decision"]["omega"] == [-1, 1]
     code, _, err = run_cli(capsys, ["signed", *INST12, "--t", "11", "--omega=1,2"])
     assert code == 2 and "sign word" in err
+
+
+def test_negative_scalings_use_the_equals_form(capsys):
+    code, out, _ = run_cli(capsys, ["type2", *INST12, "--t=-3/5", "--json"])
+    assert code == 0 and json.loads(out)["t"] == "-3/5"
+    code, out, _ = run_cli(capsys, ["decide", *INST12, "--t=-11", "--json"])
+    assert code == 0 and json.loads(out)["decision"]["cycle"] == {"nodes": ["3"], "digits": ["33"]}
+
+
+def test_one_parser_serves_every_call(capsys):
+    assert build_parser() is build_parser()
+    argv = ["signed", *INST12, "--t", "11", "--omega=-1,1", "--json"]
+    first = run_cli(capsys, argv)
+    for bad in (["decide", "--help"], ["decide", *INST12, "--t"], ["search", "--t-from", "x"]):
+        with pytest.raises(SystemExit):
+            main(bad)
+        capsys.readouterr()
+    run_cli(capsys, ["decide", *INST12, "--t", "5", "--node-budget", "7"])
+    assert run_cli(capsys, argv) == first
+    code, _, err = run_cli(capsys, ["signed", *INST12, "--t", "11"])
+    assert code == 2 and "signed needs --t and --omega" in err
 
 
 def test_user_input_errors_from_the_library_keep_their_messages(capsys):
