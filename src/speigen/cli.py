@@ -86,13 +86,16 @@ def _at_least_one(value, key: str) -> int:
     return value
 
 
-def _number(value, key: str) -> float:
+def _positive_number(value, key: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise InvalidParameters([(f"{key}_type", f"{key} must be a number")])
     try:
-        return float(value)
+        value = float(value)
     except (ValueError, OverflowError):
         raise InvalidParameters([(f"{key}_parse", f"{key} is not a number: {value!r}")]) from None
+    if not value > 0:  # NaN included
+        raise InvalidParameters([(key, f"{key} must be positive")])
+    return value
 
 
 @dataclass(frozen=True)
@@ -111,7 +114,7 @@ FIELDS = {
     "p": Field("--p", {"help": "comma list of block exponents, e.g. 1,2 (empty for one block)"}, default=()),
     "config": Field("--config", {"help": "JSON config file with the same fields as the flags"}),
     "node_budget": Field("--node-budget", {"type": int}, _at_least_one, attractor_mod.DEFAULT_NODE_BUDGET),
-    "tol": Field("--tol", {"type": float, "help": "numeric tolerance for probes"}, _number, 1e-9),
+    "tol": Field("--tol", {"type": float, "help": "numeric tolerance for probes"}, _positive_number, 1e-9),
     "json": Field("--json", {"action": "store_true", "help": "emit the stable JSON report instead of a table"}),
     "t": Field("--t", {"help": "scaling (integer or a/b); for zeroset: the frequency"}, _rational),
     "t_from": Field("--t-from", {"type": int}, instance._coerce_integer),
@@ -240,9 +243,7 @@ def _validate(inst, t, omega, node_budget, tol):
     orthogonality = validate.check_orthogonal_set(inst, orth_level.elements)
     probe_level = spectra.spectrum_level(inst, t, 3, omega)
     grid = validate.default_grid(decision)
-    # The Q probe needs a positive tolerance and M, N**p_j exact in float64.
-    if not tol > 0:
-        raise InvalidParameters([("tol", "tol must be positive")])
+    # The Q probe needs M, N**p_j exact in float64.
     try:
         measure._numeric_params(inst)
     except ValueError as exc:

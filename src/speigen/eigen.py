@@ -172,34 +172,18 @@ def decide_scaling_signed(
     return _graph_decision(t, omega, scaled_system(inst, t, omega, node_budget=node_budget))
 
 
-def _integer_root(n: int, k: int) -> int:
-    """Largest u with u**k <= n, for n >= 1, in exact integer arithmetic."""
-    u = 1 << -(-n.bit_length() // k)  # u**k > n: Newton's iteration descends from above
-    while True:
-        v = ((k - 1) * u + n // u ** (k - 1)) // k
-        if v >= u:
-            return u
-        u = v
-
-
 def shortcut_divisor(inst: ProblemInstance, t: int) -> Optional[Verdict]:
-    """Spectrum verdict for powers of divisors of R, no information otherwise.
+    """Spectrum verdict when every prime of t divides R, no information otherwise.
 
-    Such t are coprime to every M**n - 1, which caps the digit sums strictly
-    below the modulus and rules out any witness word; the full decision
-    procedure can never disagree.  t is such a power exactly when, for some
-    k below its bit length, its integer k-th root u satisfies u**k == t and
-    divides R, so neither R nor t is ever factored.
+    Every prime of R divides M, so such t satisfy gcd(t, M**n - 1) = 1 for
+    all n and no witness word exists; stripping gcd(t, R) until it is 1
+    decides this without factoring R or t.
     """
     if not isinstance(t, int) or isinstance(t, bool) or t < 1:
         raise ValueError("shortcut requires an integer t >= 1")
-    if t == 1:
-        return Verdict.SPECTRUM
-    for k in range(1, t.bit_length()):
-        u = _integer_root(t, k)
-        if u**k == t and inst.R % u == 0:
-            return Verdict.SPECTRUM
-    return None
+    while (g := math.gcd(t, inst.R)) > 1:
+        t //= g
+    return Verdict.SPECTRUM if t == 1 else None
 
 
 def search_eigenvalues(

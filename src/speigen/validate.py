@@ -122,9 +122,9 @@ def completeness_probe(
     )
 
 
-def default_grid(decision: Optional[EigenDecision] = None, size: int = DEFAULT_GRID_SIZE) -> list[float]:
+def default_grid(decision: Optional[EigenDecision] = None) -> list[float]:
     """Equispaced points in [0, 1), plus the missing frequency when present."""
-    grid = [i / size for i in range(size)]
+    grid = [i / DEFAULT_GRID_SIZE for i in range(DEFAULT_GRID_SIZE)]
     if decision is not None and decision.missing_frequency is not None:
         grid.append(float(decision.missing_frequency))
     return grid

@@ -271,6 +271,8 @@ def test_user_input_errors_from_the_library_keep_their_messages(capsys):
         (["search", *INST12, "--t-from", "5", "--t-to", "1"], "t_range", "t_from must not exceed t_to"),
         (["type2", *INST12, "--t", "3/5", "--r-max", "0"], "r_max", "r_max must be at least 1"),
         (["validate", *INST12, "--t", "11", "--tol", "0"], "tol", "tol must be positive"),
+        (["validate", *INST12, "--t", "11", "--tol", "0", "--node-budget", "1"], "tol", "tol must be positive"),
+        (["validate", *INST12, "--t", "1000000001", "--tol", "0"], "tol", "tol must be positive"),
         (["validate", "--N", "2", "--R", "3", "--q", "60", "--p", "1", "--t", "1"], "float_range", "M = "),
         (["validate", "--N", "3", "--R", "2", "--q", "40", "--p", "38", "--t", "1"], "float_range", "N**p_j"),
         (["search", *INST12, "--t-from", "1"], "missing", "search needs --t-from and --t-to"),

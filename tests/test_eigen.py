@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,8 @@ from speigen import (
     word_witness_search,
     zero_set_contains,
 )
+
+from conftest import instance_family
 
 
 def word_based_decision(inst, t):
@@ -145,31 +148,51 @@ def test_shortcut_examples(inst12, inst120):
         shortcut_divisor(inst12, 0)
 
 
-def trial_division_shortcut(R, t):
-    """Reference rule: t >= 2 is a power of some divisor u >= 2 of gcd(R, t), found by trial division."""
-    if t == 1:
-        return Verdict.SPECTRUM
-    n = math.gcd(R, t)
-    divisors = {d for d in range(1, math.isqrt(n) + 1) if n % d == 0}
-    for u in sorted(divisors | {n // d for d in divisors}):
-        if u < 2:
-            continue
-        x = t
-        while x % u == 0:
-            x //= u
-        if x == 1:
-            return Verdict.SPECTRUM
-    return None
+def factorize(n):
+    """Prime factorization {p: exponent} of n >= 1 by trial division."""
+    factors, p = {}, 2
+    while p * p <= n:
+        while n % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    return factors
 
 
-def test_shortcut_matches_trial_division():
-    for N in (2, 3):
-        for R in range(2, 61):
-            if math.gcd(R, N) != 1:
+def test_shortcut_fires_exactly_when_every_prime_of_t_divides_R(inst120, family):
+    # 45 = 3**2 * 5 is no power of a single divisor of R = 15, yet all its primes divide R.
+    assert shortcut_divisor(inst120, 45) is Verdict.SPECTRUM
+    # Cofactors up to 60 add R with repeated primes (9, 25, 27, 45, ...).
+    cofactors = [build_instance(N, R, 1) for N in (2, 3) for R in range(2, 61) if math.gcd(R, N) == 1]
+    for inst in family + cofactors:
+        for t in range(1, 400):
+            expected = Verdict.SPECTRUM if all(inst.R % p == 0 for p in factorize(t)) else None
+            assert shortcut_divisor(inst, t) is expected, (inst.describe(), t)
+            if expected is not None:
+                assert decide_scaling(inst, t).verdict is expected, (inst.describe(), t)
+
+
+def test_the_R_part_of_t_scales_the_witness(family):
+    # t = t_R * t' with t_R collecting the primes of R: t decides as t' does,
+    # and its cycle and missing frequency are t_R times those of t'.
+    for inst in family:
+        for t in range(2, 400):
+            if math.gcd(t, inst.N) != 1:
                 continue
-            inst = build_instance(N, R, 1)
-            for t in range(1, 1001):
-                assert shortcut_divisor(inst, t) is trial_division_shortcut(R, t), (N, R, t)
+            t_R = math.prod(p**e for p, e in factorize(t).items() if inst.R % p == 0)
+            if t_R == 1:
+                continue
+            whole, free = decide_scaling(inst, t), decide_scaling(inst, t // t_R)
+            case = (inst.describe(), t)
+            assert whole.verdict is free.verdict and whole.reason is free.reason, case
+            if free.cycle is None:
+                assert whole.cycle is None and whole.missing_frequency is None, case
+            else:
+                assert whole.cycle.nodes == tuple(t_R * x for x in free.cycle.nodes), case
+                assert whole.cycle.digits == tuple(t_R * c for c in free.cycle.digits), case
+                assert whole.missing_frequency == t_R * free.missing_frequency, case
 
 
 def test_shortcut_on_a_large_prime_cofactor():
@@ -285,6 +308,22 @@ def test_find_sign_word_for_eleven_cross_checked(inst12):
     if result is not None:
         assert visited[-1] == result
         assert decide_scaling_signed(inst12, 11, result).verdict is Verdict.SPECTRUM
+
+
+def test_find_sign_word_reaches_every_coprime_pair_by_period_three():
+    # type2 reports "not found within r_max", never nonexistence; this pins how
+    # far r_max = 3 reaches on the family with M <= 130.
+    found = Counter()
+    for inst in instance_family(m_limit=130):
+        for t1 in range(1, 40):
+            for t2 in range(1, 40):
+                if math.gcd(t1, t2) != 1 or math.gcd(t1 * t2, inst.N) != 1:
+                    continue
+                word = find_sign_word(inst, [t1, t2], 3)
+                assert word is not None, (inst.describe(), t1, t2)
+                found[word.pattern] += 1
+    assert sum(found.values()) == 18287
+    assert found == {(1,): 16723, (1, -1): 1438, (1, 1, -1): 126}
 
 
 def test_find_sign_word_graph_sizes_stay_exact(inst12):
