@@ -86,7 +86,7 @@ def _at_least_one(value, key: str) -> int:
     return value
 
 
-def _positive_number(value, key: str) -> float:
+def _tolerance(value, key: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise InvalidParameters([(f"{key}_type", f"{key} must be a number")])
     try:
@@ -95,6 +95,8 @@ def _positive_number(value, key: str) -> float:
         raise InvalidParameters([(f"{key}_parse", f"{key} is not a number: {value!r}")]) from None
     if not value > 0:  # NaN included
         raise InvalidParameters([(key, f"{key} must be positive")])
+    if value >= 1:  # an error bound on transform values of modulus at most 1
+        raise InvalidParameters([(key, f"{key} must be below 1")])
     return value
 
 
@@ -114,7 +116,7 @@ FIELDS = {
     "p": Field("--p", {"help": "comma list of block exponents, e.g. 1,2 (empty for one block)"}, default=()),
     "config": Field("--config", {"help": "JSON config file with the same fields as the flags"}),
     "node_budget": Field("--node-budget", {"type": int}, _at_least_one, attractor_mod.DEFAULT_NODE_BUDGET),
-    "tol": Field("--tol", {"type": float, "help": "numeric tolerance for probes"}, _positive_number, 1e-9),
+    "tol": Field("--tol", {"type": float, "help": "numeric tolerance for probes"}, _tolerance, 1e-9),
     "json": Field("--json", {"action": "store_true", "help": "emit the stable JSON report instead of a table"}),
     "t": Field("--t", {"help": "scaling (integer or a/b); for zeroset: the frequency"}, _rational),
     "t_from": Field("--t-from", {"type": int}, instance._coerce_integer),

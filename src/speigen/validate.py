@@ -22,6 +22,7 @@ from .measure import fourier_values, zero_set_contains
 from .spectra import SpectrumTruncation, spectrum_level
 
 DEFAULT_GRID_SIZE = 25
+PROBE_BATCH = 4096  # frequencies per fourier_values call in completeness_probe
 MONOTONE_SLACK = 1e-12
 
 
@@ -86,25 +87,47 @@ def completeness_probe(
     Records monotonicity or Bessel violations instead of raising.  When the
     associated decision carries a missing frequency, its Q is additionally
     confirmed to vanish exactly, term by term, through zero-set membership.
+
+    Every level below the truncation's must be contained in
+    ``trunc.elements``; this holds for every :func:`spectrum_level`
+    truncation because ``0`` is a digit of ``L``.  The transform is then
+    evaluated once, at ``xi - lambda`` for every grid point and element of
+    the truncation, in calls of at most :data:`PROBE_BATCH` frequencies
+    (one grid row at least), and each ``Q_k(xi)`` sums the level-k part of
+    that row in the order :func:`q_function` sums it.
     """
     if not grid:
         raise ValueError("grid must be nonempty")
     levels = list(range(1, trunc.level + 1))
-    per_level = {
-        k: spectrum_level(inst, trunc.t, k, trunc.omega).elements for k in levels
-    }
+    position = {lam: i for i, lam in enumerate(trunc.elements)}
+    index = {}
+    for k in levels:
+        elements = spectrum_level(inst, trunc.t, k, trunc.omega).elements
+        outside = [lam for lam in elements if lam not in position]
+        if outside:
+            raise ValueError(
+                f"level-{k} element {outside[0]} is not in the level-{trunc.level} truncation; "
+                "the probe needs nested levels"
+            )
+        index[k] = np.array([position[lam] for lam in elements], dtype=np.intp)
+    lams = np.array([float(lam) for lam in trunc.elements], dtype=np.float64)
+    rows = max(1, PROBE_BATCH // len(lams))
     samples: list[tuple[float, int, float]] = []
     violations: list[str] = []
-    for xi in grid:
-        previous = None
-        for k in levels:
-            value = q_function(inst, per_level[k], xi, tol=tol)
-            samples.append((float(xi), k, value))
-            if value > 1.0 + tol:
-                violations.append(f"Q_{k}({xi}) = {value} exceeds Bessel bound 1 + {tol}")
-            if previous is not None and value < previous - MONOTONE_SLACK:
-                violations.append(f"Q_{k}({xi}) = {value} decreased below Q_{k - 1}({xi}) = {previous}")
-            previous = value
+    for start in range(0, len(grid), rows):
+        chunk = grid[start : start + rows]
+        xs = np.array([float(xi) for xi in chunk], dtype=np.float64)[:, None] - lams
+        power = np.abs(fourier_values(inst, xs.ravel(), tol=tol).reshape(xs.shape)) ** 2
+        for xi, row in zip(chunk, power):
+            previous = None
+            for k in levels:
+                value = float(np.sum(row[index[k]]))
+                samples.append((float(xi), k, value))
+                if value > 1.0 + tol:
+                    violations.append(f"Q_{k}({xi}) = {value} exceeds Bessel bound 1 + {tol}")
+                if previous is not None and value < previous - MONOTONE_SLACK:
+                    violations.append(f"Q_{k}({xi}) = {value} decreased below Q_{k - 1}({xi}) = {previous}")
+                previous = value
 
     missing_check = None
     if decision is not None and decision.missing_frequency is not None:

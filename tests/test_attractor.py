@@ -275,7 +275,7 @@ def test_cycle_search_matches_exhaustive_oracle(family_small):
             witness = find_nonzero_cycle(system)
             assert witness == least_cycle_oracle(system), (inst.describe(), t)
             lengths.add(witness.length if witness else 0)
-        for r in (1, 2, 3):
+        for r in (1, 2, 3, 4):
             for bits in range(2**r):
                 omega = SignWord.from_bits(r, bits)
                 for t in (1, 3, 5, 7, 11, 13):

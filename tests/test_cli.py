@@ -159,6 +159,7 @@ def test_config_file_errors(tmp_path, capsys):
         ("type2", {"t": "3/5", "r_max": "x"}, "r_max_parse", "r_max is not a decimal integer"),
         ("decide", {"t": "11", "node_budget": 0}, "node_budget", "node_budget must be at least 1"),
         ("validate", {"t": "11", "tol": "x"}, "tol_parse", "tol is not a number"),
+        ("validate", {"t": "11", "tol": 2}, "tol", "tol must be below 1"),
         ("decide", {"t": "11", "node-budget": 5}, "config_key", "config keys not read by decide: 'node-budget'"),
         ("search", {"t-from": 1, "t_to": 3}, "config_key", "config keys not read by search: 't-from'"),
         ("decide", {"t": "11", "json": True, "example": "5.2"}, "config_key", "'example', 'json'"),
@@ -273,6 +274,11 @@ def test_user_input_errors_from_the_library_keep_their_messages(capsys):
         (["validate", *INST12, "--t", "11", "--tol", "0"], "tol", "tol must be positive"),
         (["validate", *INST12, "--t", "11", "--tol", "0", "--node-budget", "1"], "tol", "tol must be positive"),
         (["validate", *INST12, "--t", "1000000001", "--tol", "0"], "tol", "tol must be positive"),
+        (["validate", *INST12, "--t", "11", "--tol=-1"], "tol", "tol must be positive"),
+        (["validate", *INST12, "--t", "11", "--tol", "nan"], "tol", "tol must be positive"),
+        (["validate", *INST12, "--t", "11", "--tol", "1"], "tol", "tol must be below 1"),
+        (["validate", *INST12, "--t", "11", "--tol", "1e300"], "tol", "tol must be below 1"),
+        (["validate", *INST12, "--t", "11", "--tol", "inf"], "tol", "tol must be below 1"),
         (["validate", "--N", "2", "--R", "3", "--q", "60", "--p", "1", "--t", "1"], "float_range", "M = "),
         (["validate", "--N", "3", "--R", "2", "--q", "40", "--p", "38", "--t", "1"], "float_range", "N**p_j"),
         (["search", *INST12, "--t-from", "1"], "missing", "search needs --t-from and --t-to"),

@@ -1,13 +1,20 @@
+import math
+
+import numpy as np
 import pytest
 
 from speigen import (
+    SignWord,
+    SpectrumTruncation,
     Verdict,
+    build_instance,
     check_orthogonal_set,
     completeness_probe,
     decide_scaling,
     default_grid,
     q_function,
     spectrum_level,
+    validate,
     zero_set_contains,
 )
 
@@ -124,3 +131,123 @@ def test_report_json_round_trip(inst12):
     payload = report.to_json_dict()
     assert payload["missing_frequency_check"] == {"d": "-3", "confirmed": True}
     assert isinstance(payload["q_samples"], list) and payload["q_samples"][0]["level"] == 1
+
+
+# The four instances the validate-probe benchmark draws from (M = 12, 48, 54, 120).
+PROBE_INSTANCES = ((2, 3, 2, (1,)), (2, 3, 4, (3,)), (3, 2, 3, (1,)), (2, 15, 3, (1, 2)))
+
+
+def looped_probe(inst, trunc, grid, tol, decision=None):
+    """The probe as one q_function call per grid point and level, checks and all."""
+    levels = range(1, trunc.level + 1)
+    per_level = {k: spectrum_level(inst, trunc.t, k, trunc.omega).elements for k in levels}
+    samples, violations = [], []
+    for xi in grid:
+        previous = None
+        for k in levels:
+            value = q_function(inst, per_level[k], xi, tol=tol)
+            samples.append((float(xi), k, value))
+            if value > 1.0 + tol:
+                violations.append(f"Q_{k}({xi}) = {value} exceeds Bessel bound 1 + {tol}")
+            if previous is not None and value < previous - validate.MONOTONE_SLACK:
+                violations.append(f"Q_{k}({xi}) = {value} decreased below Q_{k - 1}({xi}) = {previous}")
+            previous = value
+    missing = None
+    if decision is not None and decision.missing_frequency is not None:
+        d = decision.missing_frequency
+        missing = (d, all(zero_set_contains(inst, d - lam) for lam in trunc.elements))
+        if not missing[1]:
+            violations.append(f"missing frequency {d} fails exact orthogonality against the truncation")
+    return tuple(samples), tuple(violations), missing
+
+
+def assert_probe_matches_loop(inst, trunc, grid, tol=1e-9, decision=None, ulps=0):
+    report = completeness_probe(inst, trunc, grid, tol=tol, decision=decision)
+    samples, violations, missing = looped_probe(inst, trunc, grid, tol, decision)
+    where = (inst.describe(), trunc.t, trunc.omega, trunc.level)
+    if ulps == 0:
+        assert report.q_samples == samples, where
+    else:
+        assert [s[:2] for s in report.q_samples] == [s[:2] for s in samples], where
+        gaps = [abs(a[2] - b[2]) for a, b in zip(report.q_samples, samples)]
+        assert max(gaps) <= ulps * np.finfo(float).eps, where
+    assert report.violations == violations, where
+    assert report.missing_frequency_check == missing, where
+    return report
+
+
+def count_kernel_calls(monkeypatch):
+    """Record the batch size of each fourier_values call; forbid q_function."""
+    kernel = validate.fourier_values
+    calls = []
+
+    def counted(inst, xs, tol):
+        calls.append(len(xs))
+        return kernel(inst, xs, tol=tol)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the probe must not call q_function")
+
+    monkeypatch.setattr(validate, "fourier_values", counted)
+    monkeypatch.setattr(validate, "q_function", forbidden)
+    return calls
+
+
+def test_batched_probe_equals_the_loop_on_the_benchmark_instances():
+    # Even t share a factor with N = 2, so their levels are not orthogonal and
+    # the Bessel violations are compared too.
+    violated = 0
+    for params in PROBE_INSTANCES:
+        inst = build_instance(*params)
+        for t in (1, 2, 11, 997):
+            decision = decide_scaling(inst, t)
+            report = assert_probe_matches_loop(inst, spectrum_level(inst, t, 3), default_grid(decision), decision=decision)
+            violated += bool(report.violations)
+    assert violated >= 3
+
+
+def test_batched_probe_is_within_ulps_of_the_loop_on_the_family(family_small):
+    # The kernel multiplies a one-element batch on another numpy path, so a
+    # sample can differ from the loop's in its last bit (e.g. Q_1(0.56) at
+    # t = 997 on N=2 R=3 q=3 p=[]).
+    grid = [0.0, 0.24, 0.56, 0.88]
+    for inst in family_small:
+        for t in (1, 11, 997):
+            decision = decide_scaling(inst, t)
+            extra = [float(decision.missing_frequency)] if decision.missing_frequency is not None else []
+            assert_probe_matches_loop(inst, spectrum_level(inst, t, 3), grid + extra, decision=decision, ulps=4)
+            for pattern in ((1, -1), (1, 1, -1)):
+                omega = SignWord(pattern)
+                assert_probe_matches_loop(inst, spectrum_level(inst, t, 3, omega), grid, ulps=4)
+
+
+def test_truncation_larger_than_a_batch(monkeypatch):
+    inst = build_instance(3, 2, 3, [1])
+    trunc = spectrum_level(inst, 1, 4)
+    assert len(trunc.elements) == 6561 > validate.PROBE_BATCH
+    grid = [0.0, 0.3, 0.7, -2.5]
+    calls = count_kernel_calls(monkeypatch)
+    report = completeness_probe(inst, trunc, grid, tol=1e-9)
+    assert calls == [6561] * len(grid)
+    monkeypatch.undo()
+    assert_probe_matches_loop(inst, trunc, grid)
+    assert len(report.q_samples) == 4 * len(grid)
+
+
+def test_grid_rows_span_several_kernel_calls(inst12, monkeypatch):
+    trunc = spectrum_level(inst12, 11, 3)
+    grid = [i / 150 for i in range(150)] + [-3.0]
+    rows = validate.PROBE_BATCH // len(trunc.elements)
+    calls = count_kernel_calls(monkeypatch)
+    completeness_probe(inst12, trunc, grid, tol=1e-9)
+    assert len(calls) == math.ceil(len(grid) / rows) > 1
+    assert all(n <= validate.PROBE_BATCH for n in calls) and sum(calls) == len(grid) * len(trunc.elements)
+    monkeypatch.undo()
+    assert_probe_matches_loop(inst12, trunc, grid, decision=decide_scaling(inst12, 11))
+
+
+def test_probe_refuses_levels_outside_the_truncation(inst12):
+    full = spectrum_level(inst12, 1, 2).elements
+    trunc = SpectrumTruncation(instance=inst12, t=1, omega=None, level=2, elements=full[1:])
+    with pytest.raises(ValueError, match="level-1 element 0 is not in the level-2 truncation"):
+        completeness_probe(inst12, trunc, [0.0], tol=1e-9)
