@@ -4,11 +4,15 @@
 digits from C.  Its integer points all lie in the interval
 ``[ceil(min C / (b-1)), floor(max C / (b-1))]`` and form the greatest fixed
 point of ``S -> {z : exists c in C with b*z - c in S}``.  ``integer_points``
-first narrows the interval to the integers that word sums of the digits
-still cover, about ``width ** (log #C / log b)`` of them, then computes the
-fixed point by worklist removal on those candidates.  A cycle through
-nonzero integer points (equivalently a word witness for the divisibility
-criterion) certifies that the scaled set fails to be a spectrum.
+meets in the middle: word sums of the first h digits narrow the interval to
+ranges top-down, the residues modulo ``b**k`` that walks of k steps
+``x -> b*x - c`` end in filter those ranges bottom-up, and worklist removal
+on the few candidates left keeps every cycle.  Closing that fixed set
+backward inside the interval then gives exactly the integer points, since
+every point reaches a cycle.  The work is about ``#C**h + #C**k`` plus the
+candidates, where a one-sided refinement costs ``width ** (log #C / log b)``.
+A cycle through nonzero integer points (equivalently a word witness for the
+divisibility criterion) certifies that the scaled set fails to be a spectrum.
 ``find_nonzero_cycle`` returns the least such cycle in (length, start node,
 digit sequence) order: one reverse BFS per start finds the least length and
 start, and a greedy least-digit walk along the BFS distances reads off the
@@ -93,27 +97,34 @@ def _candidate_interval(b: int, digits: Sequence[int]) -> tuple[int, int]:
     return lo, hi
 
 
-def _covered_ranges(b: int, digits: list[int], lo: int, hi: int, node_budget: int) -> list[tuple[int, int]]:
-    """Disjoint sorted ranges of the integers that phase 1 of ``integer_points`` keeps.
+def _split(b: int, count: int, width: int) -> tuple[int, int]:
+    """Levels (h, k) of the top-down word sums and the bottom-up residues.
 
-    A word sum w of level k covers the integers z with ``b**k * z - w`` in
-    [lo, hi].  Level k+1 extends each w by the digits in the window that
+    While ``#C < b`` each level keeps about ``#C / b`` of the candidates, so
+    ``L = h + k`` levels leave about ``width * (#C/b)**L`` of them, against
+    ``#C**h`` word sums and ``#C**k`` residues.  L is the least with the
+    candidates no more than ``#C**(k+1)``, split as ``h = L // 2`` and
+    ``k = L - h``.  ``L = 0`` is the plain scan of the interval, where a
+    short interval with many digits stops; with ``#C >= b`` no level
+    shrinks the candidates, so L stays 0.
+    """
+    levels = 0
+    while count < b and width * count**levels > count ** ((levels + 1) // 2 + 1) * b**levels:
+        levels += 1
+    return levels // 2, levels - levels // 2
+
+
+def _covered_ranges(b: int, digits: list[int], lo: int, hi: int, levels: int) -> list[tuple[int, int]]:
+    """Disjoint sorted ranges of the integers that word sums of ``levels`` digits cover.
+
+    A word sum w of level j covers the integers z with ``b**j * z - w`` in
+    [lo, hi].  Level j+1 extends each w by the digits in the window that
     keeps such z inside [lo, hi], and keeps a sum iff it still covers an
     integer: inside that window, iff [lo + w, hi + w] holds a multiple of
-    ``b**(k+1)``.
+    ``b**(j+1)``.
     """
     words, scale = {0}, 1
-    while True:
-        ranges: list[tuple[int, int]] = []
-        for w in sorted(words):  # ranges start in the order of their word sums
-            first, last = max(lo, -((-(lo + w)) // scale)), min(hi, (hi + w) // scale)
-            if ranges and first <= ranges[-1][1] + 1:
-                ranges[-1] = (ranges[-1][0], max(last, ranges[-1][1]))
-            else:
-                ranges.append((first, last))
-        covered = sum(last - first + 1 for first, last in ranges)
-        if covered <= len(words) * len(digits):  # a scan is now cheaper than another level
-            return ranges
+    for _ in range(levels):
         scale *= b
         refined = set()
         for w in words:
@@ -121,30 +132,58 @@ def _covered_ranges(b: int, digits: list[int], lo: int, hi: int, node_budget: in
             for c in digits[bisect_left(digits, scale * lo - hi - bw) : bisect_right(digits, scale * hi - lo - bw)]:
                 if (hi + bw + c) % scale <= hi - lo:
                     refined.add(bw + c)
-            if len(refined) > node_budget:  # checked as the level grows, so memory stays bounded
-                raise BudgetExceeded("attractor word sums", len(refined), node_budget)
         words = refined
+    ranges: list[tuple[int, int]] = []
+    for w in sorted(words):  # ranges start in the order of their word sums
+        first, last = max(lo, -((-(lo + w)) // scale)), min(hi, (hi + w) // scale)
+        if ranges and first <= ranges[-1][1] + 1:
+            ranges[-1] = (ranges[-1][0], max(last, ranges[-1][1]))
+        else:
+            ranges.append((first, last))
+    return ranges
+
+
+def _end_residues(b: int, digits: list[int], levels: int) -> list[int]:
+    """Sorted residues modulo ``b**levels`` of the ends of ``levels`` steps ``x -> b*x - c``.
+
+    Such a walk from x ends at ``b**k * x - V`` with
+    ``V = c_(k-1) + b c_(k-2) + ... + b**(k-1) c_0``, so its end is
+    ``-V mod b**k`` whatever x is, and the residues of level j+1 are
+    ``b*v - c`` for the residues v of level j.
+    """
+    ends, modulus = {0}, 1
+    for _ in range(levels):
+        modulus *= b
+        ends = {(b * v - c) % modulus for v in ends for c in digits}
+    return sorted(ends)
 
 
 def integer_points(b: int, C, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[int, ...]:
-    """All integers in T(b, C): refine word sums, then prune candidates to stability.
+    """All integers in T(b, C): meet word sums and residues in the middle, prune, close backward.
 
-    Every integer point z lies in the candidate interval ``[lo, hi]``, and so
-    does ``b**k * z - w`` for the sum ``w = sum_j b**(k-j) c_j`` of the first
-    k digits of an expansion of z.  Phase 1 keeps, level by level, the word
-    sums that still cover an integer, and stops once the integers covered
-    number no more than word sums times digits: from there a scan is cheaper
-    than another level.  A short interval with many digits stops at level 0,
-    the whole interval.
+    Every integer point z lies in the candidate interval ``[lo, hi]`` and
+    has a successor ``b*z - c`` there; the points form the greatest such set.
 
-    Phase 2 runs the worklist on the covered integers: a candidate z survives
-    iff some digit c keeps ``b*z - c`` among the survivors.  Removing
-    zero-out-degree nodes and decrementing their predecessors converges to
-    the greatest fixed point inside the candidates, which is exactly the set
-    of integer points, since they form a fixed set inside it.
+    * Top-down, z lies in a range that word sums of h digits cover: some
+      ``w = sum_j b**(h-j) c_j`` has ``b**h * z - w`` in [lo, hi].
+    * Bottom-up, a point z on a cycle is the end of a walk of k steps
+      ``x -> b*x - c`` from a point x, so ``z mod b**k`` is one of the
+      residues those walks end in.
+    * The candidates are the integers of the ranges in those residue classes,
+      found by bisecting the sorted residues at both ends of each range.
 
-    ``node_budget`` bounds the word sums of a level and the candidates the
-    fixpoint holds, not the width of the interval.
+    The worklist then removes zero-out-degree candidates and decrements
+    their predecessors.  What stays is the greatest fixed set inside the
+    candidates: it holds every cycle, since the candidates do, and lies
+    inside the integer points.  Every integer point reaches a cycle, and an
+    integer predecessor ``(y + c) / b`` of a point y is a point: it lies in
+    [lo, hi] whenever y does.  So closing the fixed set backward gives
+    exactly the integer points.  ``_split`` chooses h and k from b, #C and the
+    width; a short interval with many digits gets h = k = 0, the plain scan.
+
+    ``node_budget`` bounds the word sums (at most ``#C**h``), the residues
+    (at most ``#C**k``, and k > 0 only when ``#C < b``) and the candidates,
+    each counted before it is built, not the width of the interval.
     """
     if b < 2:
         raise ValueError("base b must be at least 2")
@@ -154,13 +193,34 @@ def integer_points(b: int, C, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[i
     lo, hi = _candidate_interval(b, digits)
     if hi < lo:
         return ()
-    ranges = _covered_ranges(b, digits, lo, hi, node_budget)
-    count = sum(last - first + 1 for first, last in ranges)
+    h, k = _split(b, len(digits), hi - lo + 1)
+    if len(digits) ** h > node_budget:
+        raise BudgetExceeded("attractor word sums", len(digits) ** h, node_budget)
+    if len(digits) ** k > node_budget:
+        raise BudgetExceeded("attractor residues", len(digits) ** k, node_budget)
+    modulus, residues = b**k, _end_residues(b, digits, k)
+    # A range [first, last] spans the blocks of `modulus` from `start` to `end`: its candidates
+    # are residues[i:] in the first block, every residue in each block between, residues[:j] in the last.
+    spans = []
+    count = 0
+    for first, last in _covered_ranges(b, digits, lo, hi, h):
+        start, end = first - first % modulus, last - last % modulus
+        i, j = bisect_left(residues, first - start), bisect_right(residues, last - end)
+        spans.append((start, i, end, j))
+        count += (end - start) // modulus * len(residues) + j - i
     if count > node_budget:
         raise BudgetExceeded("attractor candidates", count, node_budget)
+    candidates: list[int] = []
+    for start, i, end, j in spans:
+        if start == end:
+            candidates += [start + r for r in residues[i:j]]
+        else:
+            candidates += [start + r for r in residues[i:]]
+            candidates += [block + r for block in range(start + modulus, end, modulus) for r in residues]
+            candidates += [end + r for r in residues[:j]]
 
     # Out-degree of z: digits in the window [b*z - hi, b*z - lo] landing on a candidate.
-    degree = dict.fromkeys((z for first, last in ranges for z in range(first, last + 1)), 0)
+    degree = dict.fromkeys(candidates, 0)
     dead: list[int] = []
     for z in degree:
         bz = b * z
@@ -188,7 +248,16 @@ def integer_points(b: int, C, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[i
                     del degree[x]
                     dead.append(x)
 
-    return tuple(sorted(degree))
+    points = set(degree)
+    stack = list(points)
+    while stack:
+        y = stack.pop()
+        for c in by_residue.get((-y) % b, ()):
+            x = (y + c) // b
+            if x not in points:
+                points.add(x)
+                stack.append(x)
+    return tuple(sorted(points))
 
 
 def build_graph(b: int, C, node_budget: int = DEFAULT_NODE_BUDGET) -> AttractorSystem:

@@ -24,7 +24,7 @@ from .attractor import (
     build_graph,
 )
 from .attractor import find_nonzero_cycle as _find_nonzero_cycle
-from .errors import ZeroScaling
+from .errors import BudgetExceeded, ZeroScaling
 from .instance import ProblemInstance
 from .spectra import SignWord, block_digit_set
 
@@ -192,9 +192,17 @@ def search_eigenvalues(
     t_to: int,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> list[EigenDecision]:
-    """Decisions for every nonzero integer scaling in the range, ascending."""
+    """Decisions for every nonzero integer scaling in the range, ascending.
+
+    The search holds one decision per scaling, so ``node_budget`` also
+    bounds how many scalings the range may hold; it is checked before
+    anything is decided.
+    """
     if t_from > t_to:
         raise ValueError("t_from must not exceed t_to")
+    scalings = t_to - t_from + 1 - (t_from <= 0 <= t_to)
+    if scalings > node_budget:
+        raise BudgetExceeded("search scalings", scalings, node_budget)
     return [decide_scaling(inst, t, node_budget=node_budget) for t in range(t_from, t_to + 1) if t != 0]
 
 

@@ -1,4 +1,5 @@
 import math
+import random
 from bisect import bisect_left, bisect_right
 from collections import deque
 
@@ -17,6 +18,7 @@ from speigen import (
     integer_points,
     word_witness_search,
 )
+from speigen.attractor import _candidate_interval, _split
 from speigen.eigen import Verdict, decide_scaling, scaled_system
 
 from conftest import instance_family
@@ -70,6 +72,60 @@ def dense_integer_points(b, C):
                     alive[x - lo] = 0
                     dead.append(x - lo)
     return tuple(lo + i for i in range(count) if alive[i])
+
+
+def single_sided_integer_points(b, C):
+    """Reference enumeration: word sums refined top-down only, then the worklist fixpoint.
+
+    A word sum w of level k covers the integers z with ``b**k * z - w`` in
+    the candidate interval [lo, hi]; level k+1 extends each w by the digits
+    that keep such z inside [lo, hi] and keeps a sum iff it still covers an
+    integer.  The refinement stops once the covered integers number no more
+    than word sums times digits, and the fixpoint then prunes every covered
+    integer.  About ``width ** (log #C / log b)`` work, with no backward
+    closure: the covered integers already hold every point.
+    """
+    digits = sorted(set(C))
+    lo = -((-digits[0]) // (b - 1))
+    hi = digits[-1] // (b - 1)
+    if hi < lo:
+        return ()
+    words, scale = {0}, 1
+    while True:
+        ranges = []
+        for w in sorted(words):
+            first, last = max(lo, -((-(lo + w)) // scale)), min(hi, (hi + w) // scale)
+            if ranges and first <= ranges[-1][1] + 1:
+                ranges[-1] = (ranges[-1][0], max(last, ranges[-1][1]))
+            else:
+                ranges.append((first, last))
+        if sum(last - first + 1 for first, last in ranges) <= len(words) * len(digits):
+            break
+        scale *= b
+        refined = set()
+        for w in words:
+            bw = b * w
+            for c in digits[bisect_left(digits, scale * lo - hi - bw) : bisect_right(digits, scale * hi - lo - bw)]:
+                if (hi + bw + c) % scale <= hi - lo:
+                    refined.add(bw + c)
+        words = refined
+
+    degree = {z: 0 for first, last in ranges for z in range(first, last + 1)}
+    for z in degree:
+        degree[z] = sum(1 for c in digits if b * z - c in degree)
+    dead = [z for z, out in degree.items() if out == 0]
+    for z in dead:
+        del degree[z]
+    while dead:
+        y = dead.pop()
+        for c in digits:
+            x, r = divmod(y + c, b)
+            if r == 0 and x in degree:
+                degree[x] -= 1
+                if degree[x] == 0:
+                    del degree[x]
+                    dead.append(x)
+    return tuple(sorted(degree))
 
 
 def least_cycle_oracle(system):
@@ -143,21 +199,98 @@ def test_integer_points_match_the_dense_scan_on_the_family(inst):
 
 
 def test_integer_points_beyond_the_dense_scan(inst12):
-    # Candidate intervals of about 8e8 and 8e9 integers; the refinement keeps a few thousand.
+    # Candidate intervals of about 8e8 to 8e12 integers; at most 189,168 candidates reach the fixpoint.
     assert len(integer_points(12, [(10**9 + 1) * l for l in inst12.L])) == 136
     assert integer_points(12, [(10**10 + 1) * l for l in inst12.L]) == (0,)
     decision = decide_scaling(inst12, 10**11 + 1)
     assert decision.verdict is Verdict.NOT_SPECTRUM and decision.integer_point_count == 4
     assert decision.cycle.nodes == (27272727273,) and decision.cycle.verify(12)
+    decision = decide_scaling(inst12, 10**12 + 1)
+    assert decision.verdict is Verdict.SPECTRUM and scaled_system(inst12, 10**12 + 1).nodes == (0,)
+    decision = decide_scaling(inst12, 10**13 + 1)
+    assert decision.verdict is Verdict.NOT_SPECTRUM and decision.integer_point_count == 4
+    assert decision.cycle.nodes == (2727272727273,) and decision.cycle.verify(12)
+
+
+def _levels(b, digits):
+    """The (h, k) split that integer_points takes for this digit set."""
+    lo, hi = _candidate_interval(b, sorted(set(digits)))
+    return _split(b, len(set(digits)), hi - lo + 1)
+
+
+@pytest.mark.parametrize("params", [(2, 3, 2, (1,)), (2, 3, 4, (3,)), (3, 2, 3, (1,)), (2, 15, 3, (1, 2))])
+def test_integer_points_match_the_single_sided_oracle_on_the_benchmark_instances(params):
+    # The oracle costs about t ** dim: up to 10**10 it takes 3.4 s on M = 12 and 2.6 s on M = 54.
+    inst = build_instance(*params)
+    split = []
+    for e in range(2, 10 if inst.M in (12, 54) else 11):
+        digits = [(10**e + 1) * l for l in inst.L]
+        split.append(min(_levels(inst.M, digits)))
+        assert integer_points(inst.M, digits) == single_sided_integer_points(inst.M, digits), e
+    assert max(split) >= 2
+
+
+@pytest.mark.parametrize(
+    "params, pattern, t, levels",
+    [
+        ((2, 3, 2, (1,)), (1, -1), 143000429, (2, 3)),
+        ((2, 3, 4, (3,)), (1, -1), 470000000047, (2, 2)),
+        ((2, 3, 2, (1,)), (1, 1, -1), 10**7 + 1, (1, 2)),
+        ((2, 15, 3, (1, 2)), (1, -1, -1), 10**10 + 1, (1, 1)),
+    ],
+)
+def test_integer_points_match_the_single_sided_oracle_on_signed_blocks(params, pattern, t, levels):
+    inst = build_instance(*params)
+    omega = SignWord(pattern)
+    blocks = block_digit_set(inst, omega, t)
+    assert _levels(inst.M**omega.r, blocks) == levels
+    assert integer_points(inst.M**omega.r, blocks) == single_sided_integer_points(inst.M**omega.r, blocks)
+
+
+def test_integer_points_match_the_single_sided_oracle_on_random_digits():
+    # Digit sets with negative digits and candidate intervals up to 1e8 wide, half of
+    # them scaled small digit sets t * D (the shape of every decision), whose points
+    # include cycles.  The width is capped so that the oracle's width ** dim stays small.
+    rng = random.Random(8)
+    split = 0
+    for _ in range(300):
+        b = rng.randint(3, 40)
+        size = rng.randint(2, min(b - 1, 6))
+        width = int(10 ** rng.uniform(1, min(8, 4.5 * math.log(b) / math.log(size))))
+        if rng.random() < 0.5:
+            base = rng.sample(range(-b, b + 1), size)
+            t = max(1, width * (b - 1) // (max(base) - min(base) + 1))
+            digits = [t * d for d in base]
+        else:
+            spread = width * (b - 1) // 2
+            digits = [rng.randint(-spread, spread) for _ in range(size)]
+        split += min(_levels(b, digits)) >= 2
+        assert integer_points(b, digits) == single_sided_integer_points(b, digits), (b, digits)
+    assert split >= 100
+
+
+def test_integer_points_with_at_least_b_digits():
+    # No level shrinks the candidates when #C >= b, so these take the plain scan.
+    for b, digits in [(3, [-50, 0, 1, 2, 7]), (2, [0, 1, 2, 100]), (2, [0, 1]), (4, list(range(-9, 30, 3)))]:
+        assert _levels(b, digits) == (0, 0)
+        assert integer_points(b, digits) == dense_integer_points(b, digits)
 
 
 def test_integer_points_budget(inst12):
-    # The budget counts the candidates the fixpoint holds: 4 here, out of an interval of 10.
+    # The budget counts the residues mod 12 and the candidates of an interval of 10: 4 each.
     with pytest.raises(BudgetExceeded):
         integer_points(12, [0, 33, 66, 99], node_budget=3)
     assert integer_points(12, [0, 33, 66, 99], node_budget=4) == (0, 3, 6, 9)
     # An interval of 818,182 integers whose candidates fit a budget of 10**4.
     assert len(integer_points(12, [10**6 * l for l in inst12.L], node_budget=10**4)) == 12
+    # 64 word sums and 256 residues fit a budget of 373, but 374 candidates do not.
+    digits = [(10**6 + 1) * l for l in inst12.L]
+    with pytest.raises(BudgetExceeded, match="attractor candidates: needs 374, budget is 373"):
+        integer_points(12, digits, node_budget=373)
+    assert integer_points(12, digits, node_budget=374) == integer_points(12, digits)
+    # An interval of about 8e15: 4**10 word sums are refused before any is built.
+    with pytest.raises(BudgetExceeded, match="attractor word sums: needs 1048576, budget is 10000"):
+        integer_points(12, [(10**16 + 1) * l for l in inst12.L], node_budget=10**4)
 
 
 def test_integer_points_validation():

@@ -44,6 +44,9 @@ def test_decide_budget_exhaustion_exit_code(capsys):
     code, _, err = run_cli(capsys, ["decide", *INST12, "--t", "11", "--node-budget", "1"])
     assert code == 3
     assert "budget" in err
+    code, _, err = run_cli(capsys, ["decide", *INST12, "--t", "10000000000000001", "--node-budget", "10000"])
+    assert code == 3
+    assert "attractor word sums: needs 1048576, budget is 10000" in err
 
 
 def test_decide_rational_scaling(capsys):
@@ -67,6 +70,12 @@ def test_search_table(capsys):
     lines = out.strip().splitlines()
     assert any("11" in line and "NotSpectrum" in line for line in lines)
     assert sum("SharesFactorWithN" in line for line in lines) == 9
+
+
+def test_search_budget_counts_the_scalings(capsys):
+    code, out, err = run_cli(capsys, ["search", *INST12, "--t-from", "1", "--t-to", "1000000000"])
+    assert code == 3 and out == ""
+    assert "search scalings: needs 1000000000, budget is 10000000" in err
 
 
 def test_signed_command(capsys):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from speigen import (
+    BudgetExceeded,
     Reason,
     SignWord,
     Verdict,
@@ -233,6 +234,12 @@ def test_search_skips_zero(inst12):
     assert [d.t for d in decisions] == [-1, 1]
     with pytest.raises(ValueError):
         search_eigenvalues(inst12, 3, 1)
+
+
+def test_search_budget_counts_the_nonzero_scalings(inst12):
+    assert len(search_eigenvalues(inst12, -5, 5, node_budget=10)) == 10
+    with pytest.raises(BudgetExceeded, match="search scalings: needs 10, budget is 9"):
+        search_eigenvalues(inst12, -5, 5, node_budget=9)
 
 
 def test_second_type_examples(inst12):
