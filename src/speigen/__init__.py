@@ -35,6 +35,7 @@ from .errors import (
 from .instance import ProblemInstance, build_instance, from_descriptor
 from .measure import (
     ZeroSetWitness,
+    fourier_power,
     fourier_value,
     fourier_values,
     hadamard_check_exact,
@@ -82,6 +83,7 @@ __all__ = [
     "default_grid",
     "find_nonzero_cycle",
     "find_sign_word",
+    "fourier_power",
     "fourier_value",
     "fourier_values",
     "from_descriptor",

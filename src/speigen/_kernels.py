@@ -1,8 +1,14 @@
-"""Vectorized numpy mask/Fourier kernels.
+"""Vectorized numpy mask/Fourier kernel, in real arithmetic.
 
 The transform of the measure is the infinite product of mask values
 ``prod_k m_D(M**-k * x)``; evaluating it over the large frequency batches of
 the completeness probes is the one genuinely hot numeric loop in the package.
+Each digit block of the mask is a Dirichlet kernel,
+``e^(i pi (N-1) r) * sin(pi N r) / (N sin(pi r))`` with ``r`` the argument
+reduced to ``[-1/2, 1/2]``, so a product of such factors is a signed real
+amplitude times ``e^(i pi (N-1) * turns)``, where ``turns`` is the sum of
+the reduced arguments.  The kernel returns those two real arrays; the
+completeness functional needs only ``amp**2`` and never builds the phase.
 The exact integer machinery elsewhere in the package never goes through here:
 unbounded integers stay in Python, and all certificates stay exact.
 """
@@ -16,37 +22,60 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 
 
-def mask_values(xs, scales, n_base: int) -> np.ndarray:
-    """m_D at each x, as the product of per-block geometric digit sums."""
+def mask_factors(xs, scales, n_base: int) -> tuple[np.ndarray, np.ndarray]:
+    """m_D at each x as (signed amplitude, summed reduced arguments) over the blocks.
+
+    The amplitude ``sin(pi N r) / (N sin(pi r))`` is ``U_{N-1}(cos(pi r)) / N``
+    (a Chebyshev polynomial of the second kind), run in Reinsch's difference
+    form from ``2 (cos(pi r) - 1) = -4 sin(pi r / 2)**2``: one sine per block,
+    a few ulps of error for every N, and exactly 1 at ``r == 0``.
+    """
     xs = np.ascontiguousarray(xs, dtype=np.float64)
     scales = np.ascontiguousarray(scales, dtype=np.float64)
-    out = np.ones(xs.shape, dtype=np.complex128)
+    amp = np.ones(xs.shape, dtype=np.float64)
+    turns = np.zeros(xs.shape, dtype=np.float64)
     for scale in scales:
         w = xs * scale
         r = w - np.rint(w)
-        zero = r == 0.0
-        safe = np.where(zero, 0.25, r)
-        num = np.sin(math.pi * n_base * safe)
-        den = n_base * np.sin(math.pi * safe)
-        phase = math.pi * (n_base - 1) * safe
-        val = (np.cos(phase) + 1j * np.sin(phase)) * (num / den)
-        out *= np.where(zero, 1.0 + 0.0j, val)
-    return out
+        half = np.sin((0.5 * math.pi) * r)
+        step = -4.0 * half * half
+        delta = step + 1.0  # U_1 - U_0
+        u = delta + 1.0  # U_1
+        for _ in range(n_base - 2):
+            delta += step * u
+            u += delta
+        amp *= u / n_base
+        turns += r
+    return amp, turns
 
 
-def fourier_products(xs, scales, n_base: int, m_scale: float, max_digit: float, tol: float) -> np.ndarray:
-    """Truncated products prod_{k<=K} m_D(x / M**k) with per-x tail bound < tol."""
+def fourier_products(
+    xs, scales, n_base: int, m_scale: float, max_digit: float, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Truncated products prod_{k<=K} m_D(x / M**k) with per-x tail bound < tol.
+
+    Returns the signed amplitude and the summed reduced arguments of the
+    product; its value is ``amp * e^(i pi (n_base - 1) * turns)``.  Tail
+    bounds shrink by the same factor for every x, so with the frequencies
+    ordered by decreasing bound the ones still above tol are a prefix.
+    """
     xs = np.ascontiguousarray(xs, dtype=np.float64)
     scales = np.ascontiguousarray(scales, dtype=np.float64)
     m_scale, max_digit, tol = float(m_scale), float(max_digit), float(tol)
-    out = np.ones(xs.shape, dtype=np.complex128)
     tails = TWO_PI * max_digit * np.abs(xs) / (m_scale - 1.0)
-    ys = xs.copy()
-    active = tails >= tol
-    while active.any():
-        ys = np.where(active, ys / m_scale, ys)
-        factors = mask_values(ys[active], scales, n_base)
-        out[active] *= factors
-        tails = np.where(active, tails / m_scale, tails)
-        active = tails >= tol
-    return out
+    order = np.argsort(-tails, kind="stable")
+    tails = tails[order]
+    ys = xs[order]
+    amp = np.ones(xs.shape, dtype=np.float64)
+    turns = np.zeros(xs.shape, dtype=np.float64)
+    active = int(np.count_nonzero(tails >= tol))
+    while active:
+        ys[:active] /= m_scale
+        level_amp, level_turns = mask_factors(ys[:active], scales, n_base)
+        amp[:active] *= level_amp
+        turns[:active] += level_turns
+        tails[:active] /= m_scale
+        active = int(np.count_nonzero(tails[:active] >= tol))
+    out_amp, out_turns = np.empty_like(amp), np.empty_like(turns)
+    out_amp[order], out_turns[order] = amp, turns
+    return out_amp, out_turns

@@ -243,29 +243,36 @@ def _validate(inst, t, omega, node_budget, tol):
         decision = eigen.decide_scaling(inst, t, node_budget=node_budget)
     orth_level = spectra.spectrum_level(inst, t, 2, omega)
     orthogonality = validate.check_orthogonal_set(inst, orth_level.elements)
-    probe_level = spectra.spectrum_level(inst, t, 3, omega)
-    grid = validate.default_grid(decision)
-    # The Q probe needs M, N**p_j exact in float64.
+    # The Q probe needs M, max(D) and N**p_j exact in float64; without them
+    # the exact parts are still answered and the probe is reported unavailable.
     try:
         measure._numeric_params(inst)
     except ValueError as exc:
-        raise InvalidParameters([("float_range", str(exc))]) from None
-    probe = validate.completeness_probe(inst, probe_level, grid, tol=tol, decision=decision)
+        probe, unavailable = None, str(exc)
+    else:
+        probe_level = spectra.spectrum_level(inst, t, 3, omega)
+        grid = validate.default_grid(decision)
+        probe = validate.completeness_probe(inst, probe_level, grid, tol=tol, decision=decision)
 
     report = {
         "t": str(t),
         "omega": list(omega.pattern) if omega else None,
         "decision": decision.to_json_dict() if decision else None,
         "orthogonality": orthogonality.to_json_dict(),
-        "probe": probe.to_json_dict(),
+        "probe": (
+            probe.to_json_dict() if probe else {"available": False, "reason": "float_range", "message": unavailable}
+        ),
     }
-    terminal = [s for s in probe.q_samples if s[1] == probe_level.level]
     lines = [f"t = {t}" + (f", omega = {list(omega.pattern)}" if omega else "")]
     if decision:
         lines += _decision_lines(decision)
     lines.append(f"level-2 orthogonality: {'exact' if orthogonality.orthogonal else 'FAILED'}")
     if not orthogonality.orthogonal:
         lines.append(f"  failing pair: {orthogonality.failing_pair}")
+    if probe is None:
+        lines.append(f"Q probe: unavailable (float_range: {unavailable})")
+        return report, lines
+    terminal = [s for s in probe.q_samples if s[1] == probe_level.level]
     lines.append(
         f"Q at level {probe_level.level}: min {min(s[2] for s in terminal):.9f}, "
         f"max {max(s[2] for s in terminal):.9f} over {len(grid)} grid points"

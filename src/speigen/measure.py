@@ -88,14 +88,29 @@ def fourier_value(inst: ProblemInstance, xi: float, tol: float = 1e-12) -> compl
     return acc
 
 
-def fourier_values(inst: ProblemInstance, xs, tol: float = 1e-12) -> np.ndarray:
-    """Vectorized :func:`fourier_value` over a batch of frequencies."""
+def _fourier_products(inst: ProblemInstance, xs, tol: float) -> tuple[np.ndarray, np.ndarray]:
     if not tol > 0:  # NaN included
         raise ValueError("tol must be positive")
     from . import _kernels
 
     n_base, scales, m_scale, max_digit = _numeric_params(inst)
     return _kernels.fourier_products(xs, scales, n_base, m_scale, max_digit, tol)
+
+
+def fourier_values(inst: ProblemInstance, xs, tol: float = 1e-12) -> np.ndarray:
+    """Vectorized :func:`fourier_value` over a batch of frequencies."""
+    amp, turns = _fourier_products(inst, xs, tol)
+    return amp * np.exp(1j * math.pi * (inst.N - 1) * turns)
+
+
+def fourier_power(inst: ProblemInstance, xs, tol: float = 1e-12) -> np.ndarray:
+    """``|fourier_value|**2`` over a batch of frequencies, without the phase.
+
+    Carries the truncation guarantee of :func:`fourier_value`; the squared
+    modulus is the square of the kernel's real amplitude.
+    """
+    amp, _ = _fourier_products(inst, xs, tol)
+    return amp * amp
 
 
 # --------------------------------------------------------------------------

@@ -5,8 +5,10 @@ orthogonal set lie in the zero set of the transform.  The numeric side
 evaluates the completeness functional ``Q(xi) = sum_l |mu_hat(xi - l)|**2``
 over nested truncations: for an orthonormal family it is nondecreasing in
 the truncation level and bounded by 1 (Bessel), and it tends to 1 exactly
-when the family is complete.  Q is corroboration only; certification always
-comes from the exact criteria.
+when the family is complete.  Q needs only the modulus of the transform, so
+both the probe and :func:`q_function` read :func:`~speigen.measure.fourier_power`,
+the squared real amplitude of the kernel, and never build its phase.  Q is
+corroboration only; certification always comes from the exact criteria.
 """
 
 from __future__ import annotations
@@ -18,11 +20,12 @@ import numpy as np
 
 from .eigen import EigenDecision
 from .instance import ProblemInstance
-from .measure import fourier_values, zero_set_contains
+from .measure import fourier_power, zero_set_contains
+from .measure import fourier_values  # noqa: F401  (bound here for perfbench/tracing.py's patch table)
 from .spectra import SpectrumTruncation, spectrum_level
 
 DEFAULT_GRID_SIZE = 25
-PROBE_BATCH = 4096  # frequencies per fourier_values call in completeness_probe
+PROBE_BATCH = 4096  # frequencies per fourier_power call in completeness_probe
 MONOTONE_SLACK = 1e-12
 
 
@@ -71,8 +74,7 @@ def check_orthogonal_set(inst: ProblemInstance, elements: Sequence[int]) -> Vali
 def q_function(inst: ProblemInstance, elements: Sequence[int], xi: float, tol: float = 1e-9) -> float:
     """Completeness functional over a finite frequency list at the point xi."""
     xs = np.array([float(xi) - float(lam) for lam in elements], dtype=np.float64)
-    values = fourier_values(inst, xs, tol=tol)
-    return float(np.sum(np.abs(values) ** 2))
+    return float(np.sum(fourier_power(inst, xs, tol=tol)))
 
 
 def completeness_probe(
@@ -117,7 +119,7 @@ def completeness_probe(
     for start in range(0, len(grid), rows):
         chunk = grid[start : start + rows]
         xs = np.array([float(xi) for xi in chunk], dtype=np.float64)[:, None] - lams
-        power = np.abs(fourier_values(inst, xs.ravel(), tol=tol).reshape(xs.shape)) ** 2
+        power = fourier_power(inst, xs.ravel(), tol=tol).reshape(xs.shape)
         for xi, row in zip(chunk, power):
             previous = None
             for k in levels:

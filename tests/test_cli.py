@@ -288,8 +288,6 @@ def test_user_input_errors_from_the_library_keep_their_messages(capsys):
         (["validate", *INST12, "--t", "11", "--tol", "1"], "tol", "tol must be below 1"),
         (["validate", *INST12, "--t", "11", "--tol", "1e300"], "tol", "tol must be below 1"),
         (["validate", *INST12, "--t", "11", "--tol", "inf"], "tol", "tol must be below 1"),
-        (["validate", "--N", "2", "--R", "3", "--q", "60", "--p", "1", "--t", "1"], "float_range", "M = "),
-        (["validate", "--N", "3", "--R", "2", "--q", "40", "--p", "38", "--t", "1"], "float_range", "N**p_j"),
         (["search", *INST12, "--t-from", "1"], "missing", "search needs --t-from and --t-to"),
         (["signed", *INST12, "--t", "11"], "missing", "signed needs --t and --omega"),
         (["decide", *INST12, "--t", "abc"], "t_parse", "not a rational number: 'abc'"),
@@ -300,6 +298,28 @@ def test_user_input_errors_from_the_library_keep_their_messages(capsys):
         code, _, err = run_cli(capsys, argv)
         assert code == 2 and message in err, (argv, err)
         assert reason_codes(argv) == [reason]
+
+
+def test_validate_beyond_float_range_reports_the_probe_unavailable(capsys):
+    cases = [
+        (["--N", "2", "--R", "3", "--q", "60", "--p", "1"], "M = 3458764513820540928 exceeds"),
+        (["--N", "3", "--R", "2", "--q", "40", "--p", "38"], "N**p_j = 1350851717672992089 exceeds"),
+    ]
+    for instance_flags, message in cases:
+        argv = ["validate", *instance_flags, "--t", "1"]
+        code, out, _ = run_cli(capsys, [*argv, "--json"])
+        assert code == 0, argv
+        report = json.loads(out)
+        assert report["decision"]["verdict"] == "Spectrum"
+        assert report["orthogonality"] == {"orthogonal": True, "q_samples": [], "violations": []}
+        probe = report["probe"]
+        assert probe["available"] is False and probe["reason"] == "float_range"
+        assert message in probe["message"] and "exact float64 range (2**53)" in probe["message"]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0, argv
+        lines = out.splitlines()
+        assert "level-2 orthogonality: exact" in lines
+        assert lines[-1] == f"Q probe: unavailable (float_range: {probe['message']})"
 
 
 def test_internal_errors_are_not_reported_as_invalid_input(monkeypatch, capsys):

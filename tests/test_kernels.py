@@ -1,7 +1,14 @@
-import numpy as np
+import math
 
-from speigen import _kernels, fourier_value, fourier_values, mask_value
+import numpy as np
+from mpmath import mp, mpf
+
+from speigen import _kernels, build_instance, fourier_power, fourier_value, fourier_values, mask_value, spectrum_level
 from speigen.measure import _numeric_params
+
+# The four instances the validate-probe benchmark draws from (M = 12, 48, 54, 120).
+PROBE_INSTANCES = ((2, 3, 2, (1,)), (2, 3, 4, (3,)), (3, 2, 3, (1,)), (2, 15, 3, (1, 2)))
+EPS = np.finfo(float).eps
 
 
 def test_scalar_matches_batch(inst12, inst48):
@@ -16,14 +23,105 @@ def test_scalar_matches_batch(inst12, inst48):
 def test_mask_lanes_agree(inst120):
     n_base, scales, _, _ = _numeric_params(inst120)
     xs = np.linspace(-3.3, 3.3, 257)
-    batch = _kernels.mask_values(xs, scales, n_base)
+    amp, turns = _kernels.mask_factors(xs, scales, n_base)
+    batch = amp * np.exp(1j * math.pi * (n_base - 1) * turns)
     scalar = np.array([mask_value(inst120, float(x)) for x in xs])
     assert np.max(np.abs(batch - scalar)) <= 1e-13
 
 
+def test_mask_amplitude_stays_accurate_for_large_n():
+    # The amplitude runs a recurrence of N - 1 steps; its error must not grow with N.
+    xs = np.concatenate([np.linspace(-0.6, 0.6, 241), np.linspace(-1e-3, 1e-3, 41)])
+    for n_base, r_base in ((5, 2), (16, 3), (64, 5), (127, 2)):
+        inst = build_instance(n_base, r_base, 2, [1])
+        _, scales, _, _ = _numeric_params(inst)
+        amp, turns = _kernels.mask_factors(xs, scales, n_base)
+        batch = amp * np.exp(1j * math.pi * (n_base - 1) * turns)
+        scalar = np.array([mask_value(inst, float(x)) for x in xs])
+        assert np.max(np.abs(batch - scalar)) <= 1e-13, n_base
+
+
+def masked_level_loop(xs, scales, n_base, m_scale, max_digit, tol):
+    """The level loop over a boolean active mask, in the input order."""
+    amp, turns = np.ones(xs.shape), np.zeros(xs.shape)
+    tails = _kernels.TWO_PI * max_digit * np.abs(xs) / (m_scale - 1.0)
+    ys = xs.copy()
+    active = tails >= tol
+    while active.any():
+        ys = np.where(active, ys / m_scale, ys)
+        level_amp, level_turns = _kernels.mask_factors(ys[active], scales, n_base)
+        amp[active] *= level_amp
+        turns[active] += level_turns
+        tails = np.where(active, tails / m_scale, tails)
+        active = tails >= tol
+    return amp, turns
+
+
+def test_prefix_level_loop_equals_the_masked_loop():
+    rng = np.random.default_rng(17)
+    for trial in range(60):
+        size = int(rng.integers(1, 2000))
+        xs = (
+            rng.uniform(-1e5, 1e5, size),
+            np.round(rng.uniform(-50, 50, size), 1),  # repeated values and exact zeros
+            rng.standard_normal(size) * 10 ** rng.uniform(-12, 6, size),
+        )[trial % 3]
+        n_base = int(rng.integers(2, 6))
+        scales = np.array([1.0, n_base, n_base**2], dtype=float)[: int(rng.integers(1, 4))]
+        args = (scales, n_base, float(rng.choice([12, 48, 54, 120])), 9.0, 10 ** rng.uniform(-14, -3))
+        amp, turns = _kernels.fourier_products(xs, *args)
+        ref_amp, ref_turns = masked_level_loop(xs, *args)
+        assert np.array_equal(amp, ref_amp) and np.array_equal(turns, ref_turns), trial
+
+
 def test_integer_frequencies_reduce_exactly(inst12):
-    # Mask factors at integer arguments must evaluate to exactly 1.
+    # Mask factors at integer arguments must evaluate to exactly 1, with no phase.
     n_base, scales, _, _ = _numeric_params(inst12)
     xs = np.array([-5.0, -1.0, 0.0, 1.0, 7.0])
-    values = _kernels.mask_values(xs, scales, n_base)
-    assert np.allclose(values, 1.0, atol=0.0)
+    amp, turns = _kernels.mask_factors(xs, scales, n_base)
+    assert np.all(amp == 1.0) and np.all(turns == 0.0)
+
+
+def test_power_is_the_squared_modulus_on_the_benchmark_instances():
+    rng = np.random.default_rng(9)
+    for params in PROBE_INSTANCES:
+        inst = build_instance(*params)
+        xs = np.concatenate([rng.uniform(-2e4, 2e4, size=500), rng.uniform(-3, 3, size=100), np.arange(-20.0, 21.0)])
+        for tol in (1e-9, 1e-12):
+            gap = np.abs(fourier_power(inst, xs, tol=tol) - np.abs(fourier_values(inst, xs, tol=tol)) ** 2)
+            assert np.max(gap) <= 16 * EPS, (params, tol)
+
+
+def digit_sum_transform(inst, x, tail_target=mpf("1e-22")):
+    """prod_k (1/#D) sum_{d in D} e^(2 pi i d x / M**k), truncated once the tail bound is below tail_target."""
+    tail = 2 * mp.pi * inst.D[-1] * abs(x) / (inst.M - 1)
+    acc = mp.mpc(1)
+    y = x
+    while tail >= tail_target:
+        y /= inst.M
+        acc *= sum(mp.expjpi(2 * d * y) for d in inst.D) / len(inst.D)
+        tail /= inst.M
+    return acc
+
+
+def test_power_matches_the_extended_precision_digit_sums():
+    rng = np.random.default_rng(1998)
+    with mp.workdps(30):
+        for params in PROBE_INSTANCES:
+            inst = build_instance(*params)
+            xs = np.concatenate([rng.uniform(-1000, 1000, size=20), rng.uniform(-2, 2, size=5)])
+            power = fourier_power(inst, xs, tol=1e-13)
+            for x, value in zip(xs, power):
+                exact = abs(digit_sum_transform(inst, mpf(float(x)))) ** 2
+                assert abs(value - float(exact)) <= 1e-12, (params, x)
+
+
+def test_power_at_zero_is_exactly_one():
+    for params in PROBE_INSTANCES:
+        assert fourier_power(build_instance(*params), np.array([0.0]), tol=1e-9)[0] == 1.0
+
+
+def test_power_vanishes_at_the_missing_frequency(inst12):
+    tol = 1e-9
+    lams = np.array([float(lam) for lam in spectrum_level(inst12, 11, 3).elements])
+    assert np.all(fourier_power(inst12, -3.0 - lams, tol=tol) <= tol)

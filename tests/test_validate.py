@@ -177,8 +177,8 @@ def assert_probe_matches_loop(inst, trunc, grid, tol=1e-9, decision=None, ulps=0
 
 
 def count_kernel_calls(monkeypatch):
-    """Record the batch size of each fourier_values call; forbid q_function."""
-    kernel = validate.fourier_values
+    """Record the batch size of each fourier_power call; forbid q_function."""
+    kernel = validate.fourier_power
     calls = []
 
     def counted(inst, xs, tol):
@@ -188,7 +188,7 @@ def count_kernel_calls(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the probe must not call q_function")
 
-    monkeypatch.setattr(validate, "fourier_values", counted)
+    monkeypatch.setattr(validate, "fourier_power", counted)
     monkeypatch.setattr(validate, "q_function", forbidden)
     return calls
 
