@@ -25,10 +25,8 @@ TWO_PI = 2.0 * math.pi
 def mask_factors(xs, scales, n_base: int) -> tuple[np.ndarray, np.ndarray]:
     """m_D at each x as (signed amplitude, summed reduced arguments) over the blocks.
 
-    The amplitude ``sin(pi N r) / (N sin(pi r))`` is ``U_{N-1}(cos(pi r)) / N``
-    (a Chebyshev polynomial of the second kind), run in Reinsch's difference
-    form from ``2 (cos(pi r) - 1) = -4 sin(pi r / 2)**2``: one sine per block,
-    a few ulps of error for every N, and exactly 1 at ``r == 0``.
+    Each block amplitude is ``sin(pi N r) / (N sin(pi r))``: two sines and a
+    divide whatever N is, and exactly 1 at ``r == 0``.
     """
     xs = np.ascontiguousarray(xs, dtype=np.float64)
     scales = np.ascontiguousarray(scales, dtype=np.float64)
@@ -37,14 +35,9 @@ def mask_factors(xs, scales, n_base: int) -> tuple[np.ndarray, np.ndarray]:
     for scale in scales:
         w = xs * scale
         r = w - np.rint(w)
-        half = np.sin((0.5 * math.pi) * r)
-        step = -4.0 * half * half
-        delta = step + 1.0  # U_1 - U_0
-        u = delta + 1.0  # U_1
-        for _ in range(n_base - 2):
-            delta += step * u
-            u += delta
-        amp *= u / n_base
+        num = np.sin(math.pi * n_base * r)
+        den = n_base * np.sin(math.pi * r)
+        amp *= np.divide(num, den, out=np.ones_like(r), where=r != 0.0)
         turns += r
     return amp, turns
 
@@ -55,27 +48,21 @@ def fourier_products(
     """Truncated products prod_{k<=K} m_D(x / M**k) with per-x tail bound < tol.
 
     Returns the signed amplitude and the summed reduced arguments of the
-    product; its value is ``amp * e^(i pi (n_base - 1) * turns)``.  Tail
-    bounds shrink by the same factor for every x, so with the frequencies
-    ordered by decreasing bound the ones still above tol are a prefix.
+    product; its value is ``amp * e^(i pi (n_base - 1) * turns)``.
     """
     xs = np.ascontiguousarray(xs, dtype=np.float64)
     scales = np.ascontiguousarray(scales, dtype=np.float64)
     m_scale, max_digit, tol = float(m_scale), float(max_digit), float(tol)
-    tails = TWO_PI * max_digit * np.abs(xs) / (m_scale - 1.0)
-    order = np.argsort(-tails, kind="stable")
-    tails = tails[order]
-    ys = xs[order]
     amp = np.ones(xs.shape, dtype=np.float64)
     turns = np.zeros(xs.shape, dtype=np.float64)
-    active = int(np.count_nonzero(tails >= tol))
-    while active:
-        ys[:active] /= m_scale
-        level_amp, level_turns = mask_factors(ys[:active], scales, n_base)
-        amp[:active] *= level_amp
-        turns[:active] += level_turns
-        tails[:active] /= m_scale
-        active = int(np.count_nonzero(tails[:active] >= tol))
-    out_amp, out_turns = np.empty_like(amp), np.empty_like(turns)
-    out_amp[order], out_turns[order] = amp, turns
-    return out_amp, out_turns
+    tails = TWO_PI * max_digit * np.abs(xs) / (m_scale - 1.0)
+    ys = xs.copy()
+    active = tails >= tol
+    while active.any():
+        ys = np.where(active, ys / m_scale, ys)
+        level_amp, level_turns = mask_factors(ys[active], scales, n_base)
+        amp[active] *= level_amp
+        turns[active] += level_turns
+        tails = np.where(active, tails / m_scale, tails)
+        active = tails >= tol
+    return amp, turns

@@ -30,48 +30,17 @@ def test_mask_lanes_agree(inst120):
 
 
 def test_mask_amplitude_stays_accurate_for_large_n():
-    # The amplitude runs a recurrence of N - 1 steps; its error must not grow with N.
-    xs = np.concatenate([np.linspace(-0.6, 0.6, 241), np.linspace(-1e-3, 1e-3, 41)])
-    for n_base, r_base in ((5, 2), (16, 3), (64, 5), (127, 2)):
-        inst = build_instance(n_base, r_base, 2, [1])
-        _, scales, _, _ = _numeric_params(inst)
-        amp, turns = _kernels.mask_factors(xs, scales, n_base)
-        batch = amp * np.exp(1j * math.pi * (n_base - 1) * turns)
-        scalar = np.array([mask_value(inst, float(x)) for x in xs])
-        assert np.max(np.abs(batch - scalar)) <= 1e-13, n_base
-
-
-def masked_level_loop(xs, scales, n_base, m_scale, max_digit, tol):
-    """The level loop over a boolean active mask, in the input order."""
-    amp, turns = np.ones(xs.shape), np.zeros(xs.shape)
-    tails = _kernels.TWO_PI * max_digit * np.abs(xs) / (m_scale - 1.0)
-    ys = xs.copy()
-    active = tails >= tol
-    while active.any():
-        ys = np.where(active, ys / m_scale, ys)
-        level_amp, level_turns = _kernels.mask_factors(ys[active], scales, n_base)
-        amp[active] *= level_amp
-        turns[active] += level_turns
-        tails = np.where(active, tails / m_scale, tails)
-        active = tails >= tol
-    return amp, turns
-
-
-def test_prefix_level_loop_equals_the_masked_loop():
-    rng = np.random.default_rng(17)
-    for trial in range(60):
-        size = int(rng.integers(1, 2000))
-        xs = (
-            rng.uniform(-1e5, 1e5, size),
-            np.round(rng.uniform(-50, 50, size), 1),  # repeated values and exact zeros
-            rng.standard_normal(size) * 10 ** rng.uniform(-12, 6, size),
-        )[trial % 3]
-        n_base = int(rng.integers(2, 6))
-        scales = np.array([1.0, n_base, n_base**2], dtype=float)[: int(rng.integers(1, 4))]
-        args = (scales, n_base, float(rng.choice([12, 48, 54, 120])), 9.0, 10 ** rng.uniform(-14, -3))
-        amp, turns = _kernels.fourier_products(xs, *args)
-        ref_amp, ref_turns = masked_level_loop(xs, *args)
-        assert np.array_equal(amp, ref_amp) and np.array_equal(turns, ref_turns), trial
+    # One block at reduced arguments r, against sin(pi N r) / (N sin(pi r)) to 40 digits.
+    rs = np.concatenate([np.linspace(-0.5, 0.5, 201), np.linspace(-1e-3, 1e-3, 41), [1e-9, -3e-7, 0.4999]])
+    with mp.workdps(40):
+        for n_base in (2, 3, 5, 16, 127, 1000, 10**6):
+            amp, turns = _kernels.mask_factors(rs, np.array([1.0]), n_base)
+            exact = [
+                mpf(1) if r == 0 else mp.sinpi(n_base * mpf(float(r))) / (n_base * mp.sinpi(mpf(float(r)))) for r in rs
+            ]
+            gap = max(abs(float(value - ref)) for value, ref in zip(amp, exact))
+            assert gap <= 1e-13, (n_base, gap)
+            assert np.array_equal(turns, rs)
 
 
 def test_integer_frequencies_reduce_exactly(inst12):
