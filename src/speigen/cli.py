@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -207,6 +208,10 @@ def _type2(inst, t, r_max, node_budget):
 
 def _attractor(inst, t, omega, node_budget):
     system = eigen.scaled_system(inst, t, omega, node_budget=node_budget)
+    # The export lists the block digits, the level-r truncation of the signed spectrum scaled by |t|.
+    blocks = math.prod(len(phase) for phase in system.phases)
+    if blocks > spectra.DEFAULT_ELEMENT_BUDGET:
+        raise BudgetExceeded("spectrum truncation elements", blocks, spectra.DEFAULT_ELEMENT_BUDGET)
     cycle = attractor_mod.find_nonzero_cycle(system)
     report = {
         "t": str(t),

@@ -7,6 +7,13 @@ integer coprime to N and the transition graph on the integer points of
 which t some set and its t-scaling are simultaneously spectra: exactly the
 rationals whose reduced numerator and denominator are both coprime to N,
 with periodic sign words supplying witnesses.
+
+A sign word of period r twists the spectrum, and its decision runs on
+``T(M**r, |t|*B)`` with one period folded into the block digits B.  That
+set has ``#L**r`` elements, so the graph is built from the r phases of the
+base-M system instead (:func:`~speigen.attractor.build_graph`): the cost of
+a signed decision grows with r, not with ``#L**r``, and the block digits
+are never enumerated.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from .attractor import (
 from .attractor import find_nonzero_cycle as _find_nonzero_cycle
 from .errors import BudgetExceeded, ZeroScaling
 from .instance import ProblemInstance
-from .spectra import SignWord, block_digit_set
+from .spectra import SignWord
 
 
 class Verdict(str, Enum):
@@ -96,13 +103,18 @@ def scaled_system(
 ) -> AttractorSystem:
     """Integer-point transition graph whose cycles decide the scaling t.
 
-    That is ``T(M, |t|*L)`` without a sign word, and ``T(M**r, |t|*B)`` for a
-    word of period r, where B folds one period into block digits.
+    That is ``T(M, |t|*L)`` without a sign word.  A word of period r gives
+    ``T(M**r, |t|*B)``, where B folds one period into block digits
+    ``sum_k w_k l_k M**(k-1)``; the graph is built from its r phases, step p
+    of a block taking its digit from ``w_(r-p) * |t| * L``, and B itself is
+    never enumerated.
     """
     if omega is None:
         return build_graph(inst.M, [abs(t) * l for l in inst.L], node_budget=node_budget)
-    blocks = block_digit_set(inst, omega, abs(t))
-    return build_graph(inst.M**omega.r, blocks, node_budget=node_budget)
+    if t == 0:
+        raise ZeroScaling("scaling t must be nonzero")
+    phases = [[sign * abs(t) * l for l in inst.L] for sign in reversed(omega.pattern)]
+    return build_graph(inst.M, *phases, node_budget=node_budget)
 
 
 def _graph_decision(t, omega: Optional[SignWord], system: AttractorSystem) -> EigenDecision:
@@ -159,9 +171,10 @@ def decide_scaling_signed(
 ) -> EigenDecision:
     """Same cycle criterion for the sign-twisted spectrum of a periodic word.
 
-    One period of length r is folded into block digits over the base M**r;
-    no missing frequency is reported for signed verdicts (the unsigned
-    construction does not carry over).
+    One period of length r acts as block digits over the base M**r, and the
+    graph is built from its r phases (:func:`scaled_system`); no missing
+    frequency is reported for signed verdicts (the unsigned construction
+    does not carry over).
     """
     if not isinstance(t, int) or isinstance(t, bool):
         raise TypeError("scaling t must be an integer for signed decisions")
@@ -229,8 +242,9 @@ def find_sign_word(
     Candidates run over periods r = 1..r_max and, within each period, over
     the 2**r patterns in binary order with -1 encoded as bit 1 (so the
     all-ones word comes first and trailing -1 patterns follow early, which
-    is where witnesses tend to live).  ``None`` means not found within the
-    budget, never nonexistence.
+    is where witnesses tend to live).  ``None`` means not found up to
+    period r_max, never nonexistence.  ``node_budget`` bounds each decision
+    and also the words tried, counted as each is reached.
     """
     ts = list(ts)
     if not ts:
@@ -242,8 +256,12 @@ def find_sign_word(
             raise ZeroScaling("scalings must be nonzero")
         if math.gcd(abs(t), inst.N) != 1:
             raise ValueError(f"scaling {t} shares a factor with N={inst.N}")
+    tried = 0
     for r in range(1, r_max + 1):
         for bits in range(2**r):
+            tried += 1
+            if tried > node_budget:
+                raise BudgetExceeded("sign words", tried, node_budget)
             omega = SignWord.from_bits(r, bits)
             decisions = (decide_scaling_signed(inst, t, omega, node_budget=node_budget) for t in ts)
             if all(d.verdict is Verdict.SPECTRUM for d in decisions):

@@ -77,6 +77,8 @@ def fourier_value(inst: ProblemInstance, xi: float, tol: float = 1e-12) -> compl
         raise ValueError("tol must be positive")
     n_base, scales, m_scale, max_digit = _numeric_params(inst)
     x = float(xi)
+    if not math.isfinite(x):  # at inf the tail bound never drops below tol; nan skips every level
+        raise ValueError(f"frequency must be finite, not {x}")
     tail = 2.0 * math.pi * max_digit * abs(x) / (m_scale - 1.0)
     acc = 1.0 + 0.0j
     y = x
@@ -94,6 +96,9 @@ def _fourier_products(inst: ProblemInstance, xs, tol: float) -> tuple[np.ndarray
     from . import _kernels
 
     n_base, scales, m_scale, max_digit = _numeric_params(inst)
+    xs = np.asarray(xs, dtype=np.float64)
+    if not np.isfinite(xs).all():  # at inf the tail bound never drops below tol; nan skips every level
+        raise ValueError("frequencies must be finite")
     return _kernels.fourier_products(xs, scales, n_base, m_scale, max_digit, tol)
 
 

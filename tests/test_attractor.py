@@ -18,7 +18,7 @@ from speigen import (
     integer_points,
     word_witness_search,
 )
-from speigen.attractor import _candidate_interval, _split
+from speigen.attractor import _phase_intervals, _split
 from speigen.eigen import Verdict, decide_scaling, scaled_system
 
 from conftest import instance_family
@@ -128,6 +128,50 @@ def single_sided_integer_points(b, C):
     return tuple(sorted(degree))
 
 
+def dfs_word_witness_search(
+    b: int,
+    C,
+    max_len: int,
+    word_budget: int,
+):
+    """Reference enumeration: depth-first over every word, in (length, lexicographic) order.
+
+    The first word (c_1..c_m), not all zero, with (b**m - 1) | sum b**(j-1) c_j;
+    the budget counts examined words and is enforced lazily.
+    """
+    if max_len < 1:
+        raise ValueError("max_len must be at least 1")
+    digits = sorted(set(C))
+    nd = len(digits)
+    examined = 0
+
+    for m in range(1, max_len + 1):
+        modulus = b**m - 1
+        powers = [pow(b, j, modulus) for j in range(m)]
+        idx = [-1] * m
+        prefix = [0] * (m + 1)  # running sum of powers[i] * c_i mod (b**m - 1)
+        nonzero = [False] * (m + 1)
+        j = 0
+        while j >= 0:
+            idx[j] += 1
+            if idx[j] == nd:
+                idx[j] = -1
+                j -= 1
+                continue
+            c = digits[idx[j]]
+            prefix[j + 1] = (prefix[j] + powers[j] * c) % modulus
+            nonzero[j + 1] = nonzero[j] or c != 0
+            if j + 1 == m:
+                examined += 1
+                if examined > word_budget:
+                    raise BudgetExceeded("word enumeration", examined, word_budget)
+                if nonzero[m] and prefix[m] == 0:
+                    return m, tuple(digits[idx[i]] for i in range(m))
+            else:
+                j += 1
+    return None
+
+
 def least_cycle_oracle(system):
     """Independent oracle: every closed walk in (length, start, digit sequence) order.
 
@@ -214,7 +258,7 @@ def test_integer_points_beyond_the_dense_scan(inst12):
 
 def _levels(b, digits):
     """The (h, k) split that integer_points takes for this digit set."""
-    lo, hi = _candidate_interval(b, sorted(set(digits)))
+    ((lo, hi),) = _phase_intervals(b, [sorted(set(digits))])
     return _split(b, len(set(digits)), hi - lo + 1)
 
 
@@ -247,6 +291,86 @@ def test_integer_points_match_the_single_sided_oracle_on_signed_blocks(params, p
     assert integer_points(inst.M**omega.r, blocks) == single_sided_integer_points(inst.M**omega.r, blocks)
 
 
+def block_graph(inst, t, omega):
+    """Reference graph: the block digits enumerated in full, decided over the base M**r."""
+    return build_graph(inst.M**omega.r, block_digit_set(inst, omega, abs(t)))
+
+
+def test_phases_give_the_block_graph_on_the_family():
+    # 700 seeded (instance, word of period r <= 4, odd t < 200) triples over the instances with
+    # M <= 130: the same graph, the same exported block digits and the same least cycle.
+    rng = random.Random(34)
+    family = instance_family(m_limit=130)
+    words = [SignWord.from_bits(r, bits) for r in (1, 2, 3, 4) for bits in range(2**r)]
+    cycles = 0
+    for _ in range(700):
+        inst, omega, t = rng.choice(family), rng.choice(words), rng.randrange(1, 200, 2)
+        system, expected = scaled_system(inst, t, omega), block_graph(inst, t, omega)
+        case = (inst.describe(), t, omega)
+        assert (system.base, system.lo, system.hi) == (expected.base, expected.lo, expected.hi), case
+        assert (system.nodes, system.edges) == (expected.nodes, expected.edges), case
+        assert system.to_json_dict() == expected.to_json_dict(), case
+        witness = find_nonzero_cycle(system)
+        assert witness == find_nonzero_cycle(expected), case
+        cycles += witness is not None
+    assert cycles >= 10
+
+
+def test_random_phases_give_the_block_graph():
+    # Phases of unequal sizes, some with at least b digits, and 10% of them with block digits
+    # that two digit words reach: the walks then give one edge per block digit.
+    rng = random.Random(55)
+    collisions = 0
+    for _ in range(400):
+        b, r, spread = rng.randint(2, 12), rng.randint(1, 3), rng.choice([1, 3, 10, 100])
+        phases = [rng.sample(range(-spread * b, spread * b + 1), rng.randint(1, min(5, 2 * spread * b))) for _ in range(r)]
+        blocks = [0]
+        for phase in phases:
+            blocks = [b * s + c for s in blocks for c in phase]
+        collisions += len(set(blocks)) < len(blocks)
+        system, expected = build_graph(b, *phases), build_graph(b**r, blocks)
+        case = (b, phases)
+        assert (system.base, system.digits, system.lo, system.hi) == (expected.base, expected.digits, expected.lo, expected.hi), case
+        assert (system.nodes, system.edges) == (expected.nodes, expected.edges), case
+        assert find_nonzero_cycle(system) == find_nonzero_cycle(expected), case
+    assert collisions >= 20
+
+
+def test_phases_give_the_block_integer_points_at_large_t():
+    # Wide intervals, where both paths meet in the middle over their own bases and digit sets.
+    for params, pattern, t in [
+        ((2, 3, 2, (1,)), (1, -1), 143000429),
+        ((2, 3, 4, (3,)), (1, -1), 470000000047),
+        ((2, 3, 2, (1,)), (1, 1, -1), 10**7 + 1),
+        ((2, 15, 3, (1, 2)), (1, -1, -1), 10**10 + 1),
+    ]:
+        inst, omega = build_instance(*params), SignWord(pattern)
+        phases = [[sign * t * l for l in inst.L] for sign in reversed(pattern)]
+        assert integer_points(inst.M, *phases) == integer_points(inst.M**omega.r, block_digit_set(inst, omega, t))
+
+
+def test_phase_budget_counts(inst12):
+    # Two phases of 4 digits over base 12 at t = 10**9 + 1: phase 0 meets in the middle with
+    # 4**5 word sums and 4**6 residues, and the candidates of phase 1 follow those of phase 0.
+    phases = [[s * (10**9 + 1) * l for l in inst12.L] for s in (-1, 1)]
+    with pytest.raises(BudgetExceeded, match="attractor word sums: needs 1024, budget is 1023"):
+        integer_points(12, *phases, node_budget=1023)
+    with pytest.raises(BudgetExceeded, match="attractor residues: needs 4096, budget is 4095"):
+        integer_points(12, *phases, node_budget=4095)
+    with pytest.raises(BudgetExceeded, match="attractor candidates: needs 4616, budget is 4096"):
+        integer_points(12, *phases, node_budget=4096)
+    with pytest.raises(BudgetExceeded, match="attractor candidates: needs 9232, budget is 9231"):
+        integer_points(12, *phases, node_budget=9231)
+    assert len(integer_points(12, *phases, node_budget=9232)) == 136
+
+
+def test_block_digits_are_derived_from_the_phases(inst12):
+    system = scaled_system(inst12, 11, SignWord((1, -1)))
+    assert system.phases == ((-99, -66, -33, 0), (0, 33, 66, 99))
+    assert system.base == 144 and system.digits == block_digit_set(inst12, SignWord((1, -1)), 11)
+    assert build_graph(12, [0, 33, 66, 99]).digits == (0, 33, 66, 99)
+
+
 def test_integer_points_match_the_single_sided_oracle_on_random_digits():
     # Digit sets with negative digits and candidate intervals up to 1e8 wide, half of
     # them scaled small digit sets t * D (the shape of every decision), whose points
@@ -270,10 +394,25 @@ def test_integer_points_match_the_single_sided_oracle_on_random_digits():
 
 
 def test_integer_points_with_at_least_b_digits():
-    # No level shrinks the candidates when #C >= b, so these take the plain scan.
+    # No fixed level count fits #C >= b, so the top-down refinement stops by what it covers.
     for b, digits in [(3, [-50, 0, 1, 2, 7]), (2, [0, 1, 2, 100]), (2, [0, 1]), (4, list(range(-9, 30, 3)))]:
-        assert _levels(b, digits) == (0, 0)
+        assert _levels(b, digits) == (None, 0)
         assert integer_points(b, digits) == dense_integer_points(b, digits)
+
+
+def test_integer_points_narrow_clustered_digit_sets():
+    # The plain scan would need all 5,000,001 integers of the interval as candidates;
+    # the refinement leaves few enough for a budget of 10**6.
+    points = integer_points(3, [0, 1, 2, 10**7], node_budget=10**6)
+    assert len(points) == 15736
+    assert points == single_sided_integer_points(3, [0, 1, 2, 10**7])
+    rng = random.Random(13)
+    for _ in range(100):
+        b = rng.randint(2, 6)
+        cluster = rng.sample(range(-3 * b, 3 * b), rng.randint(b, 2 * b))
+        far = [rng.choice((-1, 1)) * rng.randint(10, 10**3) for _ in range(rng.randint(0, 2))]
+        digits = sorted(set(cluster + far))
+        assert integer_points(b, digits) == dense_integer_points(b, digits), (b, digits)
 
 
 def test_integer_points_budget(inst12):
@@ -433,6 +572,33 @@ def test_word_budget():
 def test_word_validation():
     with pytest.raises(ValueError):
         word_witness_search(12, [0, 3], 0)
+
+
+def _word_outcome(search, b, digits, max_len, budget):
+    try:
+        return search(b, digits, max_len, word_budget=budget)
+    except BudgetExceeded as exc:
+        return str(exc)
+
+
+def test_word_search_matches_the_depth_first_enumeration(family_small):
+    # Seeded digit sets, half of them scaled instance digits t*L, at the checker's budget of 2,000
+    # and at smaller budgets: the same first word, or the same refusal.
+    rng = random.Random(21)
+    raised = found = 0
+    for _ in range(1500):
+        if rng.random() < 0.5:
+            inst = rng.choice(family_small)
+            b, digits = inst.M, [rng.randrange(1, 60) * l for l in inst.L]
+        else:
+            b = rng.randint(2, 40)
+            digits = rng.sample(range(-3 * b, 3 * b), rng.randint(1, 6))
+        max_len, budget = rng.randint(1, 9), rng.choice((2000, 2000, 300, 17))
+        expected = _word_outcome(dfs_word_witness_search, b, digits, max_len, budget)
+        assert _word_outcome(word_witness_search, b, digits, max_len, budget) == expected, (b, digits, max_len, budget)
+        raised += isinstance(expected, str)
+        found += isinstance(expected, tuple)
+    assert raised >= 100 and found >= 100
 
 
 def test_cycle_word_equivalence(family_small):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from speigen import attractor, eigen, spectra
 from speigen import (
     BudgetExceeded,
     Reason,
@@ -134,6 +135,53 @@ def test_signed_gcd_gate(inst12):
     assert decision.reason is Reason.SHARES_FACTOR_WITH_N
     with pytest.raises(ZeroScaling):
         decide_scaling_signed(inst12, 0, SignWord((1,)))
+
+
+@pytest.mark.parametrize(
+    "params, pattern, t, expected",
+    [
+        ((2, 3, 2, (1,)), (1, -1), 10**9 + 1, (136, (-755244756,), (-108000000108,))),
+        ((2, 3, 2, (1,)), (1, -1), 10**12 + 1, (1, None, None)),
+        ((3, 2, 3, (1,)), (1, -1, 1), 10**6 + 1, (1, None, None)),
+        ((3, 2, 3, (1,)), (1, -1, 1, -1), 10**9 + 1, (2, (-545454546,), (-4638030004638030,))),
+        ((2, 15, 3, (1, 2)), (1, 1, -1, 1), 10**9 + 1, (1, None, None)),
+    ],
+)
+def test_signed_decisions_at_large_t_are_pinned(params, pattern, t, expected):
+    # The answers of the block-digit enumeration, which took 0.3-1.5 s per call here.
+    inst = build_instance(*params)
+    decision = decide_scaling_signed(inst, t, SignWord(pattern))
+    count, nodes, digits = expected
+    assert decision.integer_point_count == count
+    if nodes is None:
+        assert decision.verdict is Verdict.SPECTRUM and decision.cycle is None
+    else:
+        assert decision.verdict is Verdict.NOT_SPECTRUM
+        assert (decision.cycle.nodes, decision.cycle.digits) == (nodes, digits)
+        assert decision.cycle.verify(inst.M ** len(pattern))
+
+
+def test_signed_decisions_never_enumerate_block_digits(monkeypatch, inst12, inst120):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a signed decision enumerated the block digits")
+
+    for module in (spectra, eigen, attractor):
+        for name in ("block_digit_set", "spectrum_level"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    assert decide_scaling_signed(inst120, 7, SignWord((1, -1, 1, -1))).verdict is Verdict.SPECTRUM
+    assert decide_scaling_signed(inst12, 11, SignWord((1, 1, 1))).verdict is Verdict.NOT_SPECTRUM
+    assert find_sign_word(inst12, [11, 3], 4) == SignWord((1, -1))
+    assert find_sign_word(inst120, [119, 7], 4) is not None
+
+
+def test_sign_word_search_counts_its_words_against_the_budget(monkeypatch, inst12):
+    # With every decision refuted, the search tries all 2 + 4 + ... + 2**r_max words.
+    refuted = eigen.EigenDecision(t=1, verdict=Verdict.NOT_SPECTRUM, reason=Reason.CYCLE_FOUND)
+    monkeypatch.setattr(eigen, "decide_scaling_signed", lambda *args, **kwargs: refuted)
+    assert find_sign_word(inst12, [1], 5, node_budget=62) is None
+    with pytest.raises(BudgetExceeded, match="sign words: needs 63, budget is 62"):
+        find_sign_word(inst12, [1], 6, node_budget=62)
 
 
 # --------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import cmath
 import math
 import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -10,12 +12,16 @@ from hypothesis import strategies as st
 from speigen import (
     SizeMismatch,
     ZeroScaling,
+    completeness_probe,
+    fourier_power,
     fourier_value,
     fourier_values,
     hadamard_check_exact,
     hadamard_check_numeric,
     mask_value,
     nadic_split,
+    q_function,
+    spectrum_level,
     zero_set_contains,
     zero_set_decompose,
 )
@@ -96,6 +102,40 @@ def test_fourier_rejects_bad_tol(inst12):
             fourier_value(inst12, 0.3, tol)
         with pytest.raises(ValueError):
             fourier_values(inst12, [0.3], tol)
+
+
+@contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the body once ``seconds`` have passed, so a hang fails the test."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+NUMERIC_ENTRY_POINTS = {
+    "fourier_value": lambda inst, xi: fourier_value(inst, xi),
+    "fourier_values": lambda inst, xi: fourier_values(inst, [0.5, xi]),
+    "fourier_power": lambda inst, xi: fourier_power(inst, [xi, 0.5]),
+    "q_function": lambda inst, xi: q_function(inst, [0, 3], xi),
+    "completeness_probe": lambda inst, xi: completeness_probe(inst, spectrum_level(inst, 1, 2), [0.0, xi]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NUMERIC_ENTRY_POINTS))
+def test_non_finite_frequencies_are_rejected(inst12, entry):
+    # An infinite frequency keeps the tail bound infinite, so the level loop would never end;
+    # a NaN one would pass every comparison silently.
+    for xi in (math.inf, -math.inf, math.nan):
+        with deadline(5), pytest.raises(ValueError, match="finite"):
+            NUMERIC_ENTRY_POINTS[entry](inst12, xi)
 
 
 # --------------------------------------------------------------------------
