@@ -45,7 +45,7 @@ from .measure import (
     zero_set_contains,
     zero_set_decompose,
 )
-from .spectra import SignWord, SpectrumTruncation, block_digit_set, spectrum_level
+from .spectra import SignWord, SpectrumTruncation, spectrum_level
 from .validate import (
     ValidationReport,
     check_orthogonal_set,
@@ -72,7 +72,6 @@ __all__ = [
     "Verdict",
     "ZeroScaling",
     "ZeroSetWitness",
-    "block_digit_set",
     "build_graph",
     "build_instance",
     "check_orthogonal_set",

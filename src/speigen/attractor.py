@@ -18,13 +18,16 @@ Its phase-0 points are the integer points of ``T(b**r, B)`` with the block
 digits ``B = {sum_p b**(r-1-p) c_p}``, and r steps from phase 0 back to it
 are one block step, so a block system of ``prod_p #C_p`` digits is handled
 through r sets of ``#C_p`` digits each, and one phase is ``T(b, C)``.
+``build_graph`` reads the block edges off walks of r steps, one loop over
+the phases, that end on a point.
 
 A cycle through nonzero integer points (equivalently a word witness for the
 divisibility criterion) certifies that the scaled set fails to be a spectrum.
 ``find_nonzero_cycle`` returns the least such cycle in (length, start node,
-digit sequence) order: one reverse BFS per start finds the least length and
-start, and a greedy least-digit walk along the BFS distances reads off the
-digits without backtracking.
+digit sequence) order: one pass over the edges gives the successors and
+predecessors, one reverse BFS per start finds the least length and start,
+and a greedy least-digit walk along the BFS distances reads off the digits
+without backtracking.
 ``word_witness_search`` is the brute-force oracle for the same criterion,
 least in (length, lexicographic) order.
 """
@@ -387,48 +390,31 @@ def build_graph(b: int, *phases, node_budget: int = DEFAULT_NODE_BUDGET) -> Attr
     B is given by r phases over base b as in :func:`integer_points`; one
     phase C is T(b, C).  The block edges from a point z are its walks of r
     steps ``y -> b*y - c``, step p taking its digit from phase p inside the
-    window of phase p + 1's interval, that end on a point; the walk's digits
-    sum to its block digit ``d = sum_p b**(r-1-p) c_p``.
+    window of the interval of phase p + 1 (mod r), that end on a point; the
+    walk's digits sum to its block digit ``d = sum_p b**(r-1-p) c_p``.
     """
     phases = tuple(tuple(sorted(set(C))) for C in phases)
     nodes = integer_points(b, *phases, node_budget=node_budget)
     intervals = _phase_intervals(b, phases)
-    node_set = set(nodes)
     # Step p of a walk takes its digit from phase p, inside the window [b*y - hi, b*y - lo]
-    # that keeps it in the interval of phase p + 1; the last step must land on a point.
-    steps = [(digits, intervals[p + 1]) for p, digits in enumerate(phases[:-1])]
-    last, (lo, hi) = phases[-1], intervals[0]
+    # that keeps it in the interval of phase p + 1 (mod r): the last step returns to phase 0.
     walks = [(z, z, 0) for z in nodes]  # (start, position, the digits so far as one block digit)
-    for digits, (lo_q, hi_q) in steps:
+    for p, digits in enumerate(phases):
+        lo_q, hi_q = intervals[(p + 1) % len(phases)]
         walks = [
             (z, by - c, b * d + c)
             for z, y, d in walks
             for by in (b * y,)
             for c in digits[bisect_left(digits, by - hi_q) : bisect_right(digits, by - lo_q)]
         ]
-    edges: list[tuple[int, int, int]] = []
-    for z, y, d in walks:
-        by = b * y
-        for c in last[bisect_left(last, by - hi) : bisect_right(last, by - lo)]:
-            if by - c in node_set:
-                edges.append((z, b * d + c, by - c))
+    node_set = set(nodes)
     # Two walks with equal digit sums are one block digit, so one edge.
-    system = AttractorSystem(radix=b, phases=phases, lo=lo, hi=hi, nodes=nodes, edges=tuple(sorted(set(edges))))
+    edges = sorted({(z, d, y) for z, y, d in walks if y in node_set})
+    lo, hi = intervals[0]
+    system = AttractorSystem(radix=b, phases=phases, lo=lo, hi=hi, nodes=nodes, edges=tuple(edges))
     sources = {edge[0] for edge in system.edges}
     assert all(z in sources for z in nodes)
     return system
-
-
-def _witness_successors(system: AttractorSystem) -> dict[int, list[tuple[int, int]]]:
-    # Witness step u -(c)-> v means v = (u + c) / base, i.e. the reverse of
-    # the stored edge v -(c)-> u; digit lists come out sorted ascending.
-    succ: dict[int, list[tuple[int, int]]] = {z: [] for z in system.nodes if z != 0}
-    for v, c, u in system.edges:
-        if u != 0 and v != 0:
-            succ[u].append((c, v))
-    for lst in succ.values():
-        lst.sort()
-    return succ
 
 
 def find_nonzero_cycle(system: AttractorSystem) -> Optional[CycleWitness]:
@@ -447,10 +433,13 @@ def find_nonzero_cycle(system: AttractorSystem) -> Optional[CycleWitness]:
     cycle, so no successor is nearer; one at exactly that distance always
     exists, so the walk never dead-ends and never backtracks.
     """
-    succ = _witness_successors(system)
-    pred: dict[int, list[int]] = {u: [] for u in succ}
-    for u, lst in succ.items():
-        for _, v in lst:
+    # Witness step u -(c)-> v means v = (u + c) / base, i.e. the reverse of
+    # the stored edge v -(c)-> u.
+    succ: dict[int, list[tuple[int, int]]] = {z: [] for z in system.nodes if z != 0}
+    pred: dict[int, list[int]] = {z: [] for z in succ}
+    for v, c, u in system.edges:
+        if u != 0 and v != 0:
+            succ[u].append((c, v))
             pred[v].append(u)
 
     best: Optional[tuple[int, int, dict[int, int]]] = None  # (length, start, distances to start)
@@ -479,7 +468,7 @@ def find_nonzero_cycle(system: AttractorSystem) -> Optional[CycleWitness]:
     length, start, dist = best
     nodes, digits = [start], []
     for remaining in range(length - 1, -1, -1):
-        c, v = next((c, v) for c, v in succ[nodes[-1]] if dist.get(v) == remaining)
+        c, v = min((c, v) for c, v in succ[nodes[-1]] if dist.get(v) == remaining)
         digits.append(c)
         nodes.append(v)
     witness = CycleWitness(nodes=tuple(nodes[:-1]), digits=tuple(digits))

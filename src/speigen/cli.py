@@ -5,7 +5,9 @@ reproduce-paper.  ``COMMANDS`` declares each one: its handler, its help
 line, the fields it reads and the message for a missing required field.
 Every field resolves one way: the flag, else the same key in the JSON
 config file (``--config``), else its default; ``--config`` and ``--json``
-are flag-only.  Output is a human table by default or JSON with ``--json``;
+are flag-only.  Flags arrive as text, and a field's converter
+(``from_descriptor`` for the instance) is its one conversion, for flags and
+config alike.  Output is a human table by default or JSON with ``--json``;
 JSON is the stable interface and serializes every potentially large integer
 as a decimal string.  Exit codes: 0 success, 2 invalid instance/config,
 3 budget exhaustion.  Only the package's own errors are mapped to exit
@@ -104,26 +106,26 @@ def _tolerance(value, key: str) -> float:
 @dataclass(frozen=True)
 class Field:
     flag: str
-    options: dict
+    options: dict  # argparse options; never a type, since `convert` is the one conversion
     convert: Optional[Callable] = None  # (value, key) -> value; None keeps the value as given
     default: object = None
 
 
 # Parser order: every subcommand lists its flags in this order.
 FIELDS = {
-    "N": Field("--N", {"type": int, "help": "base digit count (>= 2)"}),
-    "R": Field("--R", {"type": int, "help": "cofactor coprime to N (>= 2)"}),
-    "q": Field("--q", {"type": int, "help": "exponent in M = R * N^q"}),
+    "N": Field("--N", {"help": "base digit count (>= 2)"}),
+    "R": Field("--R", {"help": "cofactor coprime to N (>= 2)"}),
+    "q": Field("--q", {"help": "exponent in M = R * N^q"}),
     "p": Field("--p", {"help": "comma list of block exponents, e.g. 1,2 (empty for one block)"}, default=()),
     "config": Field("--config", {"help": "JSON config file with the same fields as the flags"}),
-    "node_budget": Field("--node-budget", {"type": int}, _at_least_one, attractor_mod.DEFAULT_NODE_BUDGET),
-    "tol": Field("--tol", {"type": float, "help": "numeric tolerance for probes"}, _tolerance, 1e-9),
+    "node_budget": Field("--node-budget", {}, _at_least_one, attractor_mod.DEFAULT_NODE_BUDGET),
+    "tol": Field("--tol", {"help": "numeric tolerance for probes"}, _tolerance, 1e-9),
     "json": Field("--json", {"action": "store_true", "help": "emit the stable JSON report instead of a table"}),
     "t": Field("--t", {"help": "scaling (integer or a/b); for zeroset: the frequency"}, _rational),
-    "t_from": Field("--t-from", {"type": int}, instance._coerce_integer),
-    "t_to": Field("--t-to", {"type": int}, instance._coerce_integer),
+    "t_from": Field("--t-from", {}, instance._coerce_integer),
+    "t_to": Field("--t-to", {}, instance._coerce_integer),
     "omega": Field("--omega", {"help": "comma list of +-1 signs, e.g. 1,-1"}, _sign_word),
-    "r_max": Field("--r-max", {"type": int, "help": "search bound for a common sign word"}, _at_least_one),
+    "r_max": Field("--r-max", {"help": "search bound for a common sign word"}, _at_least_one),
     "example": Field("--example", {"help": "restrict to one case id: 5.2, 5.3 or 5.4"}),
 }
 INSTANCE = ("N", "R", "q", "p")

@@ -13,7 +13,8 @@ A sign word of period r twists the spectrum, and its decision runs on
 set has ``#L**r`` elements, so the graph is built from the r phases of the
 base-M system instead (:func:`~speigen.attractor.build_graph`): the cost of
 a signed decision grows with r, not with ``#L**r``, and the block digits
-are never enumerated.
+are never enumerated.  Both problems take one path: the unsigned case is
+the one-phase word ``(1,)``, and one screen of t precedes every graph.
 """
 
 from __future__ import annotations
@@ -103,39 +104,43 @@ def scaled_system(
 ) -> AttractorSystem:
     """Integer-point transition graph whose cycles decide the scaling t.
 
-    That is ``T(M, |t|*L)`` without a sign word.  A word of period r gives
-    ``T(M**r, |t|*B)``, where B folds one period into block digits
-    ``sum_k w_k l_k M**(k-1)``; the graph is built from its r phases, step p
-    of a block taking its digit from ``w_(r-p) * |t| * L``, and B itself is
-    never enumerated.
+    A word of period r gives ``T(M**r, |t|*B)``, where B folds one period
+    into block digits ``sum_k w_k l_k M**(k-1)``; the graph is built from its
+    r phases, step p of a block taking its digit from ``w_(r-p) * |t| * L``,
+    and B itself is never enumerated.  No sign word is the word ``(1,)``:
+    one phase, ``T(M, |t|*L)``.
     """
-    if omega is None:
-        return build_graph(inst.M, [abs(t) * l for l in inst.L], node_budget=node_budget)
     if t == 0:
         raise ZeroScaling("scaling t must be nonzero")
-    phases = [[sign * abs(t) * l for l in inst.L] for sign in reversed(omega.pattern)]
+    signs = (1,) if omega is None else omega.pattern
+    phases = [[sign * abs(t) * l for l in inst.L] for sign in reversed(signs)]
     return build_graph(inst.M, *phases, node_budget=node_budget)
 
 
-def _graph_decision(t, omega: Optional[SignWord], system: AttractorSystem) -> EigenDecision:
-    """Verdict read off the transition graph built by :func:`scaled_system`.
+def _decide(inst: ProblemInstance, t, omega: Optional[SignWord], node_budget: int) -> EigenDecision:
+    """Screen t, then read the verdict off the graph of :func:`scaled_system`.
 
-    A cycle through nonzero nodes refutes the spectrum; only the unsigned
-    case (``omega is None``) reports its missing frequency ``-eta_1``.
+    Zero is refused; a non-integer, or a t sharing a factor with N, is no
+    spectrum outright.  Otherwise a cycle through nonzero nodes refutes the
+    spectrum, and only the unsigned case (``omega is None``) reports its
+    missing frequency ``-eta_1``.
     """
+    if t == 0:
+        raise ZeroScaling("scaling t must be nonzero")
+    if isinstance(t, Fraction):
+        return EigenDecision(t=t, verdict=Verdict.NOT_SPECTRUM, reason=Reason.NON_INTEGER, omega=omega)
+    if math.gcd(abs(t), inst.N) != 1:
+        return EigenDecision(t=t, verdict=Verdict.NOT_SPECTRUM, reason=Reason.SHARES_FACTOR_WITH_N, omega=omega)
+    system = scaled_system(inst, t, omega, node_budget=node_budget)
     cycle = _find_nonzero_cycle(system)
-    if cycle is None:
-        return EigenDecision(
-            t=t, verdict=Verdict.SPECTRUM, reason=Reason.NO_CYCLE, omega=omega, integer_point_count=len(system.nodes)
-        )
     return EigenDecision(
         t=t,
-        verdict=Verdict.NOT_SPECTRUM,
-        reason=Reason.CYCLE_FOUND,
+        verdict=Verdict.SPECTRUM if cycle is None else Verdict.NOT_SPECTRUM,
+        reason=Reason.NO_CYCLE if cycle is None else Reason.CYCLE_FOUND,
         omega=omega,
         integer_point_count=len(system.nodes),
         cycle=cycle,
-        missing_frequency=-cycle.nodes[0] if omega is None else None,
+        missing_frequency=-cycle.nodes[0] if cycle is not None and omega is None else None,
     )
 
 
@@ -154,13 +159,7 @@ def decide_scaling(
     value = _as_exact_scaling(t)
     if value is None:
         raise TypeError("scaling t must be an exact integer or Fraction")
-    if value == 0:
-        raise ZeroScaling("scaling t must be nonzero")
-    if isinstance(value, Fraction):
-        return EigenDecision(t=value, verdict=Verdict.NOT_SPECTRUM, reason=Reason.NON_INTEGER)
-    if math.gcd(abs(value), inst.N) != 1:
-        return EigenDecision(t=value, verdict=Verdict.NOT_SPECTRUM, reason=Reason.SHARES_FACTOR_WITH_N)
-    return _graph_decision(value, None, scaled_system(inst, value, node_budget=node_budget))
+    return _decide(inst, value, None, node_budget)
 
 
 def decide_scaling_signed(
@@ -178,11 +177,7 @@ def decide_scaling_signed(
     """
     if not isinstance(t, int) or isinstance(t, bool):
         raise TypeError("scaling t must be an integer for signed decisions")
-    if t == 0:
-        raise ZeroScaling("scaling t must be nonzero")
-    if math.gcd(abs(t), inst.N) != 1:
-        return EigenDecision(t=t, verdict=Verdict.NOT_SPECTRUM, reason=Reason.SHARES_FACTOR_WITH_N, omega=omega)
-    return _graph_decision(t, omega, scaled_system(inst, t, omega, node_budget=node_budget))
+    return _decide(inst, t, omega, node_budget)
 
 
 def shortcut_divisor(inst: ProblemInstance, t: int) -> Optional[Verdict]:

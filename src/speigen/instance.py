@@ -49,10 +49,6 @@ class ProblemInstance:
     def p_last(self) -> int:
         return self.p[-1] if self.p else 0
 
-    @property
-    def digit_count(self) -> int:
-        return len(self.D)
-
     def to_descriptor(self) -> dict:
         """JSON-safe descriptor; unbounded integers go out as decimal strings."""
         return {
@@ -78,7 +74,6 @@ def build_instance(
     R: int,
     q: int,
     p: Sequence[int] | Iterable[int] = (),
-    digit_budget: int = DEFAULT_DIGIT_BUDGET,
 ) -> ProblemInstance:
     """Validate parameters, derive every digit set and return the instance.
 
@@ -115,9 +110,9 @@ def build_instance(
         raise InvalidParameters(reasons)
 
     s = len(p_list)
-    if N >= 2 and N ** (s + 1) > digit_budget:
+    if N >= 2 and N ** (s + 1) > DEFAULT_DIGIT_BUDGET:
         raise InvalidParameters(
-            [("digit_budget", f"digit set size N^(s+1) = {N ** (s + 1)} exceeds budget {digit_budget}")]
+            [("digit_budget", f"digit set size N^(s+1) = {N ** (s + 1)} exceeds budget {DEFAULT_DIGIT_BUDGET}")]
         )
 
     p_all = (0, *p_list)

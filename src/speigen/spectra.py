@@ -40,10 +40,6 @@ class SignWord:
         return self.pattern[(j - 1) % len(self.pattern)]
 
     @classmethod
-    def all_ones(cls, r: int) -> "SignWord":
-        return cls((1,) * r)
-
-    @classmethod
     def from_bits(cls, r: int, bits: int) -> "SignWord":
         """Pattern number ``bits`` of period r: binary MSB-first, bit 1 -> -1."""
         if not 0 <= bits < 2**r:
@@ -63,14 +59,6 @@ class SpectrumTruncation:
     level: int
     elements: tuple[int, ...]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "t": str(self.t),
-            "omega": list(self.omega.pattern) if self.omega else None,
-            "level": self.level,
-            "elements": [str(x) for x in self.elements],
-        }
-
 
 def _signed_sums(inst: ProblemInstance, k: int, omega: Optional[SignWord]) -> list[int]:
     sums = [0]
@@ -88,7 +76,6 @@ def spectrum_level(
     t: int,
     k: int,
     omega: Optional[SignWord] = None,
-    element_budget: int = DEFAULT_ELEMENT_BUDGET,
 ) -> SpectrumTruncation:
     """Exact level-k slice of the (optionally sign-twisted) scaled spectrum."""
     if t == 0:
@@ -96,15 +83,10 @@ def spectrum_level(
     if k < 1:
         raise ValueError("level k must be at least 1")
     expected = len(inst.L) ** k
-    if expected > element_budget:
-        raise BudgetExceeded("spectrum truncation elements", expected, element_budget)
+    if expected > DEFAULT_ELEMENT_BUDGET:
+        raise BudgetExceeded("spectrum truncation elements", expected, DEFAULT_ELEMENT_BUDGET)
     sums = _signed_sums(inst, k, omega)
     if len(set(sums)) != expected:
         raise AssertionError("digit expansion collision: truncation is not injective")
     elements = tuple(sorted(t * x for x in sums))
     return SpectrumTruncation(instance=inst, t=t, omega=omega, level=k, elements=elements)
-
-
-def block_digit_set(inst: ProblemInstance, omega: SignWord, t: int) -> tuple[int, ...]:
-    """Scaled block digits t * { sum_{k<=r} l_k w_k M**(k-1) } for one period of omega."""
-    return spectrum_level(inst, t, omega.r, omega).elements

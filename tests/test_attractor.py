@@ -11,11 +11,11 @@ from speigen import (
     BudgetExceeded,
     CycleWitness,
     SignWord,
-    block_digit_set,
     build_graph,
     build_instance,
     find_nonzero_cycle,
     integer_points,
+    spectrum_level,
     word_witness_search,
 )
 from speigen.attractor import _phase_intervals, _split
@@ -286,14 +286,14 @@ def test_integer_points_match_the_single_sided_oracle_on_the_benchmark_instances
 def test_integer_points_match_the_single_sided_oracle_on_signed_blocks(params, pattern, t, levels):
     inst = build_instance(*params)
     omega = SignWord(pattern)
-    blocks = block_digit_set(inst, omega, t)
+    blocks = spectrum_level(inst, t, omega.r, omega).elements
     assert _levels(inst.M**omega.r, blocks) == levels
     assert integer_points(inst.M**omega.r, blocks) == single_sided_integer_points(inst.M**omega.r, blocks)
 
 
 def block_graph(inst, t, omega):
     """Reference graph: the block digits enumerated in full, decided over the base M**r."""
-    return build_graph(inst.M**omega.r, block_digit_set(inst, omega, abs(t)))
+    return build_graph(inst.M**omega.r, spectrum_level(inst, abs(t), omega.r, omega).elements)
 
 
 def test_phases_give_the_block_graph_on_the_family():
@@ -346,7 +346,8 @@ def test_phases_give_the_block_integer_points_at_large_t():
     ]:
         inst, omega = build_instance(*params), SignWord(pattern)
         phases = [[sign * t * l for l in inst.L] for sign in reversed(pattern)]
-        assert integer_points(inst.M, *phases) == integer_points(inst.M**omega.r, block_digit_set(inst, omega, t))
+        blocks = spectrum_level(inst, t, omega.r, omega).elements
+        assert integer_points(inst.M, *phases) == integer_points(inst.M**omega.r, blocks)
 
 
 def test_phase_budget_counts(inst12):
@@ -367,7 +368,7 @@ def test_phase_budget_counts(inst12):
 def test_block_digits_are_derived_from_the_phases(inst12):
     system = scaled_system(inst12, 11, SignWord((1, -1)))
     assert system.phases == ((-99, -66, -33, 0), (0, 33, 66, 99))
-    assert system.base == 144 and system.digits == block_digit_set(inst12, SignWord((1, -1)), 11)
+    assert system.base == 144 and system.digits == spectrum_level(inst12, 11, 2, SignWord((1, -1))).elements
     assert build_graph(12, [0, 33, 66, 99]).digits == (0, 33, 66, 99)
 
 
@@ -461,7 +462,7 @@ def test_graph_single_node():
 
 
 def test_graph_on_signed_blocks(inst12):
-    blocks = block_digit_set(inst12, SignWord((1, -1)), 1)
+    blocks = spectrum_level(inst12, 1, 2, SignWord((1, -1))).elements
     system = build_graph(144, blocks)
     assert system.nodes == (0,)
     assert (system.lo, system.hi) == (0, 0)

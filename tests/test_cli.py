@@ -94,6 +94,9 @@ def test_type2_command_with_witness_search(capsys):
     assert report["sign_word"] == [1]
     code, out, _ = run_cli(capsys, ["type2", *INST12, "--t", "1/2", "--json"])
     assert json.loads(out)["is_second_type_eigenvalue"] is False
+    code, out, _ = run_cli(capsys, ["type2", *INST12, "--t", "11/7", "--r-max", "1"])
+    assert code == 0
+    assert out.splitlines()[-1] == "no common sign word found up to period 1 (search bound, not a proof)"
 
 
 def test_attractor_command(capsys):
@@ -103,6 +106,24 @@ def test_attractor_command(capsys):
     assert report["graph"]["nodes"] == ["0", "3", "6", "9"]
     assert report["cycle"] == {"nodes": ["3"], "digits": ["33"]}
     assert {"from": "3", "digit": "33", "to": "3"} in report["graph"]["edges"]
+    inst54 = ["--N", "3", "--R", "2", "--q", "3", "--p", "1"]
+    code, out, err = run_cli(capsys, ["attractor", *inst54, "--t", "5", "--omega=1,1,1,1,1,1,1"])
+    assert code == 3 and out == ""
+    assert "spectrum truncation elements: needs 4782969, budget is 1000000" in err
+    # t = 0 is refused with and without a sign word, by every command that scales.
+    for argv in (
+        ["attractor", "--t", "0"],
+        ["attractor", "--t=0", "--omega=1,-1"],
+        ["decide", "--t", "0"],
+        ["signed", "--t", "0", "--omega=1,-1"],
+        ["validate", "--t", "0"],
+        ["validate", "--t", "0", "--omega=1,-1"],
+    ):
+        code, out, err = run_cli(capsys, [argv[0], *INST12, *argv[1:]])
+        assert (code, out) == (2, ""), argv
+        assert "scaling t must be nonzero" in err, argv
+    code, out, err = run_cli(capsys, ["type2", *INST12, "--t", "0"])
+    assert (code, out) == (2, "") and "t1 and t2 must be nonzero" in err
 
 
 def test_zeroset_command(capsys):
@@ -121,6 +142,10 @@ def test_validate_command(capsys):
     assert report["orthogonality"]["orthogonal"] is True
     assert report["probe"]["missing_frequency_check"] == {"d": "-3", "confirmed": True}
     assert report["probe"]["violations"] == []
+    code, out, _ = run_cli(capsys, ["validate", *INST12, "--t", "2"])
+    assert code == 0
+    assert "level-2 orthogonality: FAILED" in out.splitlines()
+    assert "  failing pair: (0, 12)" in out.splitlines()
 
 
 def test_reproduce_all_cases(capsys):
@@ -169,6 +194,8 @@ def test_config_file_errors(tmp_path, capsys):
         ("decide", {"t": "11", "node_budget": 0}, "node_budget", "node_budget must be at least 1"),
         ("validate", {"t": "11", "tol": "x"}, "tol_parse", "tol is not a number"),
         ("validate", {"t": "11", "tol": 2}, "tol", "tol must be below 1"),
+        ("validate", {"t": "11", "tol": True}, "tol_type", "tol must be a number"),
+        ("validate", {"t": "11", "tol": [1]}, "tol_type", "tol must be a number"),
         ("decide", {"t": "11", "node-budget": 5}, "config_key", "config keys not read by decide: 'node-budget'"),
         ("search", {"t-from": 1, "t_to": 3}, "config_key", "config keys not read by search: 't-from'"),
         ("decide", {"t": "11", "json": True, "example": "5.2"}, "config_key", "'example', 'json'"),
@@ -266,7 +293,7 @@ def test_one_parser_serves_every_call(capsys):
     assert build_parser() is build_parser()
     argv = ["signed", *INST12, "--t", "11", "--omega=-1,1", "--json"]
     first = run_cli(capsys, argv)
-    for bad in (["decide", "--help"], ["decide", *INST12, "--t"], ["search", "--t-from", "x"]):
+    for bad in (["decide", "--help"], ["decide", *INST12, "--t"], ["search", "--t-from"]):
         with pytest.raises(SystemExit):
             main(bad)
         capsys.readouterr()
@@ -293,6 +320,15 @@ def test_user_input_errors_from_the_library_keep_their_messages(capsys):
         (["decide", *INST12, "--t", "abc"], "t_parse", "not a rational number: 'abc'"),
         (["decide", "--N", "2", "--R", "3", "--q", "2", "--p", "1,x", "--t", "3"], "p_parse", "list of integers"),
         (["decide", *INST12, "--t", "11", "--node-budget", "-5"], "node_budget", "node_budget must be at least 1"),
+        # A bad value of a typed flag gets its field's converter message, not an argparse usage.
+        (["decide", "--N", "x", "--R", "3", "--q", "2", "--t", "3"], "N_parse", "error: N is not a decimal integer: 'x'"),
+        (["decide", "--N", "2", "--R", "3.0", "--q", "2", "--t", "3"], "R_parse", "error: R is not a decimal integer: '3.0'"),
+        (["decide", "--N", "2", "--R", "3", "--q", "two", "--t", "3"], "q_parse", "error: q is not a decimal integer: 'two'"),
+        (["decide", *INST12, "--t", "3", "--node-budget", "1e3"], "node_budget_parse", "error: node_budget is not a decimal integer: '1e3'"),
+        (["validate", *INST12, "--t", "11", "--tol", "abc"], "tol_parse", "error: tol is not a number: 'abc'"),
+        (["search", *INST12, "--t-from", "a", "--t-to", "3"], "t_from_parse", "error: t_from is not a decimal integer: 'a'"),
+        (["search", *INST12, "--t-from", "1", "--t-to", "b"], "t_to_parse", "error: t_to is not a decimal integer: 'b'"),
+        (["type2", *INST12, "--t", "3/5", "--r-max", "x"], "r_max_parse", "error: r_max is not a decimal integer: 'x'"),
     ]
     for argv, reason, message in cases:
         code, _, err = run_cli(capsys, argv)

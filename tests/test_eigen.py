@@ -13,7 +13,6 @@ from speigen import (
     ZeroScaling,
     build_graph,
     build_instance,
-    block_digit_set,
     decide_scaling,
     decide_scaling_signed,
     decide_second_type,
@@ -45,7 +44,7 @@ def signed_word_based_decision(inst, t, omega):
     if math.gcd(abs(t), inst.N) != 1:
         return Verdict.NOT_SPECTRUM
     base = inst.M**omega.r
-    digits = block_digit_set(inst, omega, abs(t))
+    digits = spectrum_level(inst, abs(t), omega.r, omega).elements
     bound = len(integer_points(base, digits))
     witness = word_witness_search(base, digits, max(1, bound), word_budget=10**8)
     return Verdict.NOT_SPECTRUM if witness else Verdict.SPECTRUM
@@ -166,9 +165,8 @@ def test_signed_decisions_never_enumerate_block_digits(monkeypatch, inst12, inst
         raise AssertionError("a signed decision enumerated the block digits")
 
     for module in (spectra, eigen, attractor):
-        for name in ("block_digit_set", "spectrum_level"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, refuse)
+        if hasattr(module, "spectrum_level"):
+            monkeypatch.setattr(module, "spectrum_level", refuse)
     assert decide_scaling_signed(inst120, 7, SignWord((1, -1, 1, -1))).verdict is Verdict.SPECTRUM
     assert decide_scaling_signed(inst12, 11, SignWord((1, 1, 1))).verdict is Verdict.NOT_SPECTRUM
     assert find_sign_word(inst12, [11, 3], 4) == SignWord((1, -1))
@@ -384,7 +382,7 @@ def test_find_sign_word_reaches_every_coprime_pair_by_period_three():
 def test_find_sign_word_graph_sizes_stay_exact(inst12):
     # The alternating word flips the block digits into a window so narrow
     # that only 0 survives; the decision must reflect that exactly.
-    blocks = block_digit_set(inst12, SignWord((1, -1)), 11)
+    blocks = spectrum_level(inst12, 11, 2, SignWord((1, -1))).elements
     graph = build_graph(144, blocks)
     decision = decide_scaling_signed(inst12, 11, SignWord((1, -1)))
     assert decision.integer_point_count == len(graph.nodes)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from speigen import InvalidParameters, build_instance, from_descriptor, nadic_split
+from speigen import InvalidParameters, build_instance, from_descriptor, instance, nadic_split
 
 
 def test_example_m12(inst12):
@@ -46,7 +46,7 @@ def test_all_violations_reported_at_once():
 
 @pytest.mark.parametrize(
     "p, code",
-    [([0], "p_first"), ([-1], "p_first"), ([2], "p_last"), ([1, 1], "p_order")],
+    [([0], "p_first"), ([-1], "p_first"), ([2], "p_last"), ([1, 1], "p_order"), ([1.5], "p_type")],
 )
 def test_p_constraints(p, code):
     with pytest.raises(InvalidParameters) as err:
@@ -54,10 +54,16 @@ def test_p_constraints(p, code):
     assert code in err.value.codes
 
 
-def test_digit_budget_guard():
+def test_digit_budget_guard(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the digit set was built past its budget")
+
+    # 19 block exponents give 2**20 digits, one past the budget of 10**6.
+    monkeypatch.setattr(instance, "_direct_sum", refuse)
     with pytest.raises(InvalidParameters) as err:
-        build_instance(2, 3, 25, [1, 2], digit_budget=4)
-    assert "digit_budget" in err.value.codes
+        build_instance(2, 3, 25, list(range(1, 20)))
+    assert err.value.codes == ["digit_budget"]
+    assert "digit set size N^(s+1) = 1048576 exceeds budget 1000000" in str(err.value)
 
 
 def test_single_block_extension_accepted():
@@ -118,6 +124,7 @@ def test_descriptor_accepts_native_and_string_integers():
     a = from_descriptor({"N": 2, "R": 3, "q": 2, "p": [1]})
     b = from_descriptor({"N": "2", "R": "3", "q": "2", "p": ["1"]})
     assert a == b
+    assert from_descriptor('{"N": 2, "R": "3", "q": 2, "p": [1]}') == a
 
 
 def test_descriptor_errors():
@@ -127,6 +134,9 @@ def test_descriptor_errors():
         from_descriptor({"N": 2, "R": 3, "q": 2, "p": "nope"})
     with pytest.raises(InvalidParameters):
         from_descriptor({"N": "2x", "R": 3, "q": 2})
+    with pytest.raises(InvalidParameters) as err:
+        from_descriptor("[2, 3, 2]")
+    assert err.value.codes == ["descriptor"] and "must be a JSON object" in str(err.value)
 
 
 @settings(max_examples=60, deadline=None)

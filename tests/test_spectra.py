@@ -4,7 +4,7 @@ from speigen import (
     BudgetExceeded,
     SignWord,
     ZeroScaling,
-    block_digit_set,
+    spectra,
     spectrum_level,
     zero_set_contains,
 )
@@ -30,9 +30,10 @@ def test_level_two_signed(inst12):
 
 
 def test_block_digit_set_examples(inst12):
-    assert block_digit_set(inst12, SignWord((1,)), 5) == (0, 15, 30, 45)
-    assert block_digit_set(inst12, SignWord((-1,)), 1) == (-9, -6, -3, 0)
-    blocks = block_digit_set(inst12, SignWord((1, -1)), 1)
+    # The block digits of a word of period r are its level-r truncation.
+    assert spectrum_level(inst12, 5, 1, SignWord((1,))).elements == (0, 15, 30, 45)
+    assert spectrum_level(inst12, 1, 1, SignWord((-1,))).elements == (-9, -6, -3, 0)
+    blocks = spectrum_level(inst12, 1, 2, SignWord((1, -1))).elements
     assert len(blocks) == 16
     assert all(-108 <= x <= 9 for x in blocks)
     assert blocks == tuple(sorted(l1 - 12 * l2 for l1 in inst12.L for l2 in inst12.L))
@@ -78,9 +79,13 @@ def test_negative_scaling_sorted(inst12):
     assert trunc.elements[0] == -5 * (9 + 12 * 9)
 
 
-def test_budget_and_zero_scaling(inst12):
-    with pytest.raises(BudgetExceeded):
-        spectrum_level(inst12, 1, 4, element_budget=100)
+def test_budget_and_zero_scaling(monkeypatch, inst12):
+    def refuse(*args):
+        raise AssertionError("the truncation was built past its budget")
+
+    monkeypatch.setattr(spectra, "_signed_sums", refuse)
+    with pytest.raises(BudgetExceeded, match="spectrum truncation elements: needs 1048576, budget is 1000000"):
+        spectrum_level(inst12, 1, 10)
     with pytest.raises(ZeroScaling):
         spectrum_level(inst12, 0, 1)
     with pytest.raises(ValueError):
@@ -93,16 +98,8 @@ def test_sign_word_validation():
     with pytest.raises(ValueError):
         SignWord((1, 2))
     assert SignWord.parse("1,-1").pattern == (1, -1)
-    assert SignWord.all_ones(3).pattern == (1, 1, 1)
     assert SignWord.from_bits(2, 0).pattern == (1, 1)
     assert SignWord.from_bits(2, 1).pattern == (1, -1)
     assert SignWord.from_bits(2, 3).pattern == (-1, -1)
     word = SignWord((1, -1))
     assert [word.sign_at(j) for j in range(1, 6)] == [1, -1, 1, -1, 1]
-
-
-def test_truncation_json(inst12):
-    trunc = spectrum_level(inst12, 1, 1)
-    payload = trunc.to_json_dict()
-    assert payload["elements"] == ["0", "3", "6", "9"]
-    assert payload["omega"] is None

@@ -6,12 +6,12 @@
 
 The corpus is deterministic: every subcommand as a table and with
 ``--json``, config files (valid, with unread keys, unreadable, not JSON, not
-an object), budget exhaustion, invalid instances and argparse errors.  Each
-tree runs the whole corpus in its own subprocess, which imports ``speigen``
-from ``<tree>/src`` and nowhere else and calls ``speigen.cli.main(argv)``
-once per invocation with stdout and stderr captured.  The config files are
-written once, to a temporary directory both runs share, so the paths in
-their messages agree.
+an object), budget exhaustion, invalid instances, bad flag values and
+argparse errors.  Each tree runs the whole corpus in its own subprocess,
+which imports ``speigen`` from ``<tree>/src`` and nowhere else and calls
+``speigen.cli.main(argv)`` once per invocation with stdout and stderr
+captured.  The config files are written once, to a temporary directory both
+runs share, so the paths in their messages agree.
 
 Every invocation whose stdout, stderr or exit code differs is printed with
 its first differing line, then a summary; the exit code is 1 when anything
@@ -143,7 +143,7 @@ def corpus(config_dir: Path) -> list[list[str]]:
     both("decide", "--config", str(config_dir / "missing.json"))
     both("reproduce-paper", "--config", cfg["decide.json"])
 
-    # Invalid input and argparse errors.
+    # Invalid input, bad flag values and argparse errors.
     for argv in (
         ["decide", "--N", "1", "--R", "3", "--q", "2", "--t", "3"],
         ["decide", "--N", "2", "--R", "4", "--q", "2", "--t", "3"],
@@ -172,6 +172,10 @@ def corpus(config_dir: Path) -> list[list[str]]:
         ["decide", *INST12, "--t", "3", "--r-max", "2"],
         ["decide", *INST12, "--t", "-3/5"],
         ["decide", "--N", "x", "--R", "3", "--q", "2", "--t", "3"],
+        ["decide", *INST12, "--t", "3", "--node-budget", "1e3"],
+        ["validate", *INST12, "--t", "5", "--tol", "abc"],
+        ["search", *INST12, "--t-from", "a", "--t-to", "3"],
+        ["type2", *INST12, "--t", "3/2", "--r-max", "x"],
         ["frobnicate"],
         [],
         ["--help"],
