@@ -39,7 +39,6 @@ from .measure import (
     fourier_value,
     fourier_values,
     hadamard_check_exact,
-    hadamard_check_numeric,
     mask_value,
     nadic_split,
     zero_set_contains,
@@ -87,7 +86,6 @@ __all__ = [
     "fourier_values",
     "from_descriptor",
     "hadamard_check_exact",
-    "hadamard_check_numeric",
     "integer_points",
     "mask_value",
     "nadic_split",

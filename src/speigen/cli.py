@@ -28,7 +28,7 @@ from typing import Callable, Optional
 
 from . import attractor as attractor_mod
 from . import eigen, instance, measure, spectra, validate
-from .errors import BudgetExceeded, InvalidParameters, SpeigenError
+from .errors import BudgetExceeded, InvalidParameters, SpeigenError, ZeroScaling
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -194,6 +194,8 @@ def _signed(inst, t, omega, node_budget):
 
 
 def _type2(inst, t, r_max, node_budget):
+    if t == 0:  # the user gave --t, not decide_second_type's t1 and t2
+        raise ZeroScaling("scaling t must be nonzero")
     verdict = eigen.decide_second_type(inst, t.numerator, t.denominator)
     report = {"t": str(t), "t1": str(t.numerator), "t2": str(t.denominator), "is_second_type_eigenvalue": verdict}
     lines = [f"t = {t}: {'some set and its t-scaling are both spectra' if verdict else 'no such set exists'}"]

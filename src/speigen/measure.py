@@ -1,4 +1,4 @@
-"""Mask polynomial, Fourier transform, exact zero-set and Hadamard checks.
+"""Mask polynomial, Fourier transform, exact zero set and exact Hadamard check.
 
 The measure attached to an instance is the infinite convolution of uniform
 digit measures ``M**-k * D``; its transform is ``prod_k m_D(M**-k * xi)``
@@ -6,6 +6,14 @@ where ``m_D`` is the normalized exponential sum over ``D``.  Orthogonality
 arguments never go through floats: membership in the zero set of the
 transform is decided exactly on rationals, and the numeric routines here are
 corroboration only.
+
+The transform is evaluated two ways.  The batched :func:`fourier_values` /
+:func:`fourier_power` hand :mod:`._kernels` one Dirichlet block per maximal
+run of consecutive exponents in ``(0, *p)`` (:func:`_digit_runs`), since such
+a run of blocks is one interval of digits.  The scalar :func:`mask_value` /
+:func:`fourier_value` keep one block per exponent, so checking one against
+the other compares two decompositions of ``D``, not one code path with
+itself.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import SizeMismatch, ZeroScaling
+from .errors import ZeroScaling
 from .instance import ProblemInstance
 
 _FLOAT_EXACT_LIMIT = 2**53
@@ -30,13 +38,31 @@ def _float_exact(n: int, what: str) -> float:
 
 
 @lru_cache(maxsize=None)
-def _numeric_params(inst: ProblemInstance) -> tuple[int, np.ndarray, float, float]:
-    """(N, block scales N**p_j, float M, float max(D)) for the numeric kernels."""
-    scales = np.array(
-        [_float_exact(inst.N**pj, "digit block scale N**p_j") for pj in (0, *inst.p)],
-        dtype=np.float64,
-    )
+def _numeric_params(inst: ProblemInstance) -> tuple[int, tuple[float, ...], float, float]:
+    """(N, block scales N**p_j, float M, float max(D)) for the numeric kernels.
+
+    The scales are Python floats: the scalar loops below multiply by them
+    block by block, and numpy scalars would triple their cost.
+    """
+    scales = tuple(_float_exact(inst.N**pj, "digit block scale N**p_j") for pj in (0, *inst.p))
     return inst.N, scales, _float_exact(inst.M, "M"), _float_exact(inst.D[-1], "max(D)")
+
+
+@lru_cache(maxsize=None)
+def _digit_runs(inst: ProblemInstance) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """(scales N**a, digit counts N**l) of the maximal runs a..a+l-1 of consecutive exponents in (0, *p).
+
+    Each run's blocks sum to the interval ``N**a * {0..N**l - 1}``, one
+    Dirichlet kernel in :mod:`._kernels`.  Both numbers are exact in float64
+    once :func:`_numeric_params` has passed: ``N**l - 1 <= max(D) <= 2**53``.
+    """
+    runs: list[list[int]] = []
+    for pj in (0, *inst.p):
+        if runs and runs[-1][0] + runs[-1][1] == pj:
+            runs[-1][1] += 1
+        else:
+            runs.append([pj, 1])
+    return tuple(float(inst.N**a) for a, _ in runs), tuple(float(inst.N**length) for _, length in runs)
 
 
 def _digit_factor(y: float, n_base: int) -> complex:
@@ -95,17 +121,18 @@ def _fourier_products(inst: ProblemInstance, xs, tol: float) -> tuple[np.ndarray
         raise ValueError("tol must be positive")
     from . import _kernels
 
-    n_base, scales, m_scale, max_digit = _numeric_params(inst)
+    _, _, m_scale, max_digit = _numeric_params(inst)
+    scales, counts = _digit_runs(inst)
     xs = np.asarray(xs, dtype=np.float64)
     if not np.isfinite(xs).all():  # at inf the tail bound never drops below tol; nan skips every level
         raise ValueError("frequencies must be finite")
-    return _kernels.fourier_products(xs, scales, n_base, m_scale, max_digit, tol)
+    return _kernels.fourier_products(xs, scales, counts, m_scale, max_digit, tol)
 
 
 def fourier_values(inst: ProblemInstance, xs, tol: float = 1e-12) -> np.ndarray:
     """Vectorized :func:`fourier_value` over a batch of frequencies."""
-    amp, turns = _fourier_products(inst, xs, tol)
-    return amp * np.exp(1j * math.pi * (inst.N - 1) * turns)
+    amp, phase = _fourier_products(inst, xs, tol)
+    return amp * np.exp(1j * math.pi * phase)
 
 
 def fourier_power(inst: ProblemInstance, xs, tol: float = 1e-12) -> np.ndarray:
@@ -193,28 +220,6 @@ def zero_set_contains(inst: ProblemInstance, xi) -> bool:
 # --------------------------------------------------------------------------
 # Hadamard pair checks
 # --------------------------------------------------------------------------
-
-def hadamard_check_numeric(b: int, Dset, Cset, tol: float = 1e-9) -> bool:
-    """Unitarity of H = (1/sqrt(n)) [e^(2 pi i d c / b)] up to tol in max norm.
-
-    Phases are reduced exactly (``d*c mod b``) before float conversion, so
-    huge digit products lose no precision.
-    """
-    Dset = list(Dset)
-    Cset = list(Cset)
-    if len(Dset) != len(Cset):
-        raise SizeMismatch(f"digit sets differ in size: {len(Dset)} vs {len(Cset)}")
-    n = len(Dset)
-    if n < 2:
-        raise ValueError("Hadamard pair needs at least 2 digits")
-    if b < 2:
-        raise ValueError("modulus b must be at least 2")
-    _float_exact(b, "modulus b")
-    phases = np.array([[(d * c) % b for c in Cset] for d in Dset], dtype=np.float64) / float(b)
-    H = np.exp(2j * math.pi * phases) / math.sqrt(n)
-    gram = H.conj().T @ H
-    return bool(np.max(np.abs(gram - np.eye(n))) <= tol)
-
 
 @lru_cache(maxsize=None)
 def _companion_positive_diffs(inst: ProblemInstance) -> tuple[int, ...]:

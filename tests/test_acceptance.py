@@ -17,7 +17,6 @@ from speigen import (
     decide_second_type,
     find_sign_word,
     hadamard_check_exact,
-    hadamard_check_numeric,
     integer_points,
     q_function,
     shortcut_divisor,
@@ -25,6 +24,8 @@ from speigen import (
     word_witness_search,
     zero_set_contains,
 )
+
+from oracles import hadamard_check_numeric
 
 # Frozen floor: extended-precision minimum of Q_6 over the 25-point grid
 # (0.999999035611738273) minus a 1e-9 safety margin.

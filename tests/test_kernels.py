@@ -4,10 +4,13 @@ import numpy as np
 from mpmath import mp, mpf
 
 from speigen import _kernels, build_instance, fourier_power, fourier_value, fourier_values, mask_value, spectrum_level
-from speigen.measure import _numeric_params
+from speigen.measure import _digit_runs, _numeric_params
+from speigen.validate import PROBE_BATCH
 
 # The four instances the validate-probe benchmark draws from (M = 12, 48, 54, 120).
 PROBE_INSTANCES = ((2, 3, 2, (1,)), (2, 3, 4, (3,)), (3, 2, 3, (1,)), (2, 15, 3, (1, 2)))
+# Instances whose exponents (0, *p) split into runs in other ways: (0,1)(3), (0)(2,3), (0,1,2,3), (0,1) at N = 5.
+RUN_INSTANCES = ((2, 3, 4, (1, 3)), (3, 2, 4, (2, 3)), (2, 3, 4, (1, 2, 3)), (5, 2, 2, (1,)))
 EPS = np.finfo(float).eps
 
 
@@ -33,14 +36,14 @@ def test_mask_amplitude_stays_accurate_for_large_n():
     # One block at reduced arguments r, against sin(pi N r) / (N sin(pi r)) to 40 digits.
     rs = np.concatenate([np.linspace(-0.5, 0.5, 201), np.linspace(-1e-3, 1e-3, 41), [1e-9, -3e-7, 0.4999]])
     with mp.workdps(40):
-        for n_base in (2, 3, 5, 16, 127, 1000, 10**6):
-            amp, turns = _kernels.mask_factors(rs, np.array([1.0]), n_base)
+        for n_base in (2, 3, 5, 16, 127, 1000, 10**6, 10**9, 10**12, 2**52):
+            amp, phase = _kernels.mask_factors(rs, np.array([1.0]), n_base)
             exact = [
                 mpf(1) if r == 0 else mp.sinpi(n_base * mpf(float(r))) / (n_base * mp.sinpi(mpf(float(r)))) for r in rs
             ]
             gap = max(abs(float(value - ref)) for value, ref in zip(amp, exact))
             assert gap <= 1e-13, (n_base, gap)
-            assert np.array_equal(turns, rs)
+            assert np.array_equal(phase, (n_base - 1) * rs)
 
 
 def test_integer_frequencies_reduce_exactly(inst12):
@@ -94,3 +97,62 @@ def test_power_vanishes_at_the_missing_frequency(inst12):
     tol = 1e-9
     lams = np.array([float(lam) for lam in spectrum_level(inst12, 11, 3).elements])
     assert np.all(fourier_power(inst12, -3.0 - lams, tol=tol) <= tol)
+
+
+def test_digit_runs_merge_consecutive_exponents():
+    assert _digit_runs(build_instance(2, 3, 4, (1, 3))) == ((1.0, 8.0), (4.0, 2.0))
+    assert _digit_runs(build_instance(3, 2, 4, (2, 3))) == ((1.0, 9.0), (3.0, 9.0))
+    assert _digit_runs(build_instance(2, 3, 4, (1, 2, 3))) == ((1.0,), (16.0,))
+    assert _digit_runs(build_instance(2, 3, 4, (3,))) == ((1.0, 8.0), (2.0, 2.0))
+    assert _digit_runs(build_instance(2, 3, 1, ())) == ((1.0,), (2.0,))
+
+
+def test_batch_values_equal_the_one_frequency_calls_bit_for_bit():
+    # The kernel sorts by tail bound and scatters back; a value must not depend on its batch.
+    rng = np.random.default_rng(15)
+    for params in (PROBE_INSTANCES[0], PROBE_INSTANCES[1], RUN_INSTANCES[1]):
+        inst = build_instance(*params)
+        _, _, m_scale, max_digit = _numeric_params(inst)
+        # tol is the tail bound of x0 after two levels, computed as the kernel computes it.
+        x0 = 37.25
+        tol = _kernels.TWO_PI * max_digit * x0 / (m_scale - 1.0) / m_scale / m_scale
+        ties = rng.uniform(-300, 300, size=40)
+        xs = np.concatenate(
+            [
+                [0.0, -0.0, x0, -x0, 0.0, x0],
+                ties,
+                -ties,
+                ties,
+                rng.uniform(-1e3, 1e3, size=PROBE_BATCH),
+                rng.uniform(-1, 1, size=200),
+                np.arange(-30.0, 31.0),
+            ]
+        )
+        rng.shuffle(xs)
+        assert xs.size > PROBE_BATCH
+        power = fourier_power(inst, xs, tol=tol)
+        values = fourier_values(inst, xs, tol=tol)
+        single_power = np.array([fourier_power(inst, np.array([x]), tol=tol)[0] for x in xs])
+        single_values = np.array([fourier_values(inst, np.array([x]), tol=tol)[0] for x in xs])
+        assert np.array_equal(power, single_power), params
+        assert np.array_equal(values, single_values), params
+        # A tail bound equal to tol still takes its level, as in the scalar loop.
+        assert np.max(np.abs(values[xs == x0] - fourier_value(inst, x0, tol))) <= 1e-12, params
+        grid = xs[: 2 * (xs.size // 2)].reshape(2, -1)
+        assert np.array_equal(fourier_power(inst, grid, tol=tol), power[: grid.size].reshape(grid.shape))
+
+
+def test_merged_runs_match_the_extended_precision_digit_sums():
+    # The kernel's run blocks against the direct sums over D: to 1e-12 up to |x| = 10**3, and to
+    # 1e-10 at |x| in 10**6..10**8, where reducing x / M**k in float64 costs about 2e-11.
+    rng = np.random.default_rng(2025)
+    with mp.workdps(30):
+        for params in RUN_INSTANCES + PROBE_INSTANCES:
+            inst = build_instance(*params)
+            small = np.concatenate([rng.uniform(-1000, 1000, size=12), rng.uniform(-2, 2, size=4)])
+            large = rng.choice([-1.0, 1.0], size=12) * 10 ** rng.uniform(6, 8, size=12)
+            for xs, bound in ((small, 1e-12), (large, 1e-10)):
+                values = fourier_values(inst, xs, tol=1e-13)
+                for x, value in zip(xs, values):
+                    exact = complex(digit_sum_transform(inst, mpf(float(x))))
+                    assert abs(value - exact) <= bound, (params, x)

@@ -17,7 +17,6 @@ from speigen import (
     fourier_value,
     fourier_values,
     hadamard_check_exact,
-    hadamard_check_numeric,
     mask_value,
     nadic_split,
     q_function,
@@ -25,6 +24,8 @@ from speigen import (
     zero_set_contains,
     zero_set_decompose,
 )
+
+from oracles import hadamard_check_numeric
 
 
 def mask_direct_sum(inst, x):

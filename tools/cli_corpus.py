@@ -15,8 +15,13 @@ runs share, so the paths in their messages agree.
 
 Every invocation whose stdout, stderr or exit code differs is printed with
 its first differing line, then a summary; the exit code is 1 when anything
-differs.  Nothing here touches the network or needs a package beyond the
-standard library.
+differs.  An invocation whose exit code and stderr agree and whose two
+stdouts parse as JSON of one structure (the same keys in the same order,
+the same list lengths, the same non-numeric values) differs only in its
+numbers.  Those are printed apart, with the largest ``|delta|`` per JSON
+path, list indices written ``[]`` (``probe.q_samples[].q: max 1.6e-11``).
+Nothing here touches the network or needs a package beyond the standard
+library.
 """
 
 from __future__ import annotations
@@ -217,6 +222,30 @@ def first_difference(a: str, b: str) -> str:
     return "trailing whitespace"
 
 
+def numeric_drift(a: str, b: str) -> dict[str, float] | None:
+    """Largest ``|delta|`` per JSON path when a and b are JSON of one structure, else None."""
+    try:
+        left, right = json.loads(a), json.loads(b)
+    except json.JSONDecodeError:
+        return None
+    drift: dict[str, float] = {}
+
+    def number(x) -> bool:
+        return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+    def same_shape(x, y, path: str) -> bool:
+        if isinstance(x, dict) and isinstance(y, dict):
+            return list(x) == list(y) and all(same_shape(x[k], y[k], f"{path}.{k}" if path else k) for k in x)
+        if isinstance(x, list) and isinstance(y, list):
+            return len(x) == len(y) and all(same_shape(u, v, path + "[]") for u, v in zip(x, y))
+        if number(x) and number(y):
+            drift[path] = max(drift.get(path, 0), abs(x - y))
+            return True
+        return type(x) is type(y) and x == y
+
+    return drift if same_shape(left, right, "") else None
+
+
 def compare(old: Path, new: Path) -> int:
     with tempfile.TemporaryDirectory(prefix="cli-corpus-") as tmp:
         config_dir = Path(tmp)
@@ -232,20 +261,36 @@ def compare(old: Path, new: Path) -> int:
                 print(f"corpus run on {tree} failed:\n{proc.stderr}", file=sys.stderr)
                 return 2
             runs.append(json.loads(proc.stdout))
-    differing = 0
+    textual, drifting = 0, []
     for before, after in zip(*runs):
         parts = [key for key in ("rc", "stdout", "stderr") if before[key] != after[key]]
         if not parts:
             continue
-        differing += 1
+        drift = numeric_drift(before["stdout"], after["stdout"]) if parts == ["stdout"] else None
+        if drift is not None:
+            drifting.append((before["argv"], drift))
+            continue
+        textual += 1
         print("speigen " + " ".join(before["argv"]))
         for key in parts:
             if key == "rc":
                 print(f"  exit code: {before['rc']!r} -> {after['rc']!r}")
             else:
                 print(f"  {key} {first_difference(before[key], after[key])}")
-    print(f"{len(runs[0])} invocations, {differing} differ")
-    return 1 if differing else 0
+    largest: dict[str, float] = {}
+    if drifting:
+        print("numeric drift only (one JSON structure, same exit code and stderr):")
+    for argv, drift in drifting:
+        print("speigen " + " ".join(argv))
+        for path, delta in drift.items():
+            if delta:
+                print(f"  {path}: max {delta:.2g}")
+            largest[path] = max(largest.get(path, 0), delta)
+    print(f"{len(runs[0])} invocations, {textual + len(drifting)} differ: {textual} in text or exit code, {len(drifting)} in numbers only")
+    for path, delta in largest.items():
+        if delta:
+            print(f"  {path}: max {delta:.2g}")
+    return 1 if textual or drifting else 0
 
 
 def main() -> int:
