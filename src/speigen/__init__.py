@@ -28,7 +28,6 @@ from .eigen import (
 from .errors import (
     BudgetExceeded,
     InvalidParameters,
-    SizeMismatch,
     SpeigenError,
     ZeroScaling,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "ProblemInstance",
     "Reason",
     "SignWord",
-    "SizeMismatch",
     "SpeigenError",
     "SpectrumTruncation",
     "ValidationReport",

@@ -23,11 +23,8 @@ the phases, that end on a point.
 
 A cycle through nonzero integer points (equivalently a word witness for the
 divisibility criterion) certifies that the scaled set fails to be a spectrum.
-``find_nonzero_cycle`` returns the least such cycle in (length, start node,
-digit sequence) order: one pass over the edges gives the successors and
-predecessors, one reverse BFS per start finds the least length and start,
-and a greedy least-digit walk along the BFS distances reads off the digits
-without backtracking.
+Every scaled graph is a map, one block edge from each point, because block
+expansions are unique; ``find_nonzero_cycle`` walks its orbits.
 ``word_witness_search`` is the brute-force oracle for the same criterion,
 least in (length, lexicographic) order.
 """
@@ -107,13 +104,9 @@ class CycleWitness:
 
     def verify(self, base: int) -> bool:
         m = len(self.nodes)
-        if any(eta == 0 for eta in self.nodes):
-            return False
-        for j in range(m):
-            if self.nodes[j] + self.digits[j] != base * self.nodes[(j + 1) % m]:
-                return False
+        steps = all(self.nodes[j] + self.digits[j] == base * self.nodes[(j + 1) % m] for j in range(m))
         total = sum(self.digits[j] * base**j for j in range(m))
-        return (base**m - 1) * self.nodes[0] == total
+        return 0 not in self.nodes and steps and (base**m - 1) * self.nodes[0] == total
 
     def to_json_dict(self) -> dict:
         return {
@@ -411,67 +404,38 @@ def build_graph(b: int, *phases, node_budget: int = DEFAULT_NODE_BUDGET) -> Attr
     # Two walks with equal digit sums are one block digit, so one edge.
     edges = sorted({(z, d, y) for z, y, d in walks if y in node_set})
     lo, hi = intervals[0]
-    system = AttractorSystem(radix=b, phases=phases, lo=lo, hi=hi, nodes=nodes, edges=tuple(edges))
-    sources = {edge[0] for edge in system.edges}
-    assert all(z in sources for z in nodes)
-    return system
+    return AttractorSystem(radix=b, phases=phases, lo=lo, hi=hi, nodes=nodes, edges=tuple(edges))
 
 
 def find_nonzero_cycle(system: AttractorSystem) -> Optional[CycleWitness]:
     """Least cycle through nonzero integer points, or None.
 
-    Minimality is by (length, start node, digit sequence).  Each start, in
-    ascending order, gets one reverse BFS of distances to it, level by level
-    until a level holds one of its successors: that depth plus one is its
-    shortest return.  Only a strictly shorter return displaces the best
-    start so far, so later searches stop at depth ``best - 2`` and the scan
-    ends as soon as a length-1 cycle turns up.
-
-    The digits are then read off greedily: from each node, the least digit
-    whose successor lies exactly ``remaining`` steps from the start.  A
-    successor nearer than that would close a walk shorter than the least
-    cycle, so no successor is nearer; one at exactly that distance always
-    exists, so the walk never dead-ends and never backtracks.
+    Minimality is by (length, start node, digit sequence).  The graph must be
+    a map, one edge from every point, or this raises ``ValueError``.  A walk
+    from each point in ascending order marks the points it reaches, 0
+    counting as seen, and closes a new cycle when it meets its own mark.
+    The least cycle by (length, least node) is read backward from that node.
     """
-    # Witness step u -(c)-> v means v = (u + c) / base, i.e. the reverse of
-    # the stored edge v -(c)-> u.
-    succ: dict[int, list[tuple[int, int]]] = {z: [] for z in system.nodes if z != 0}
-    pred: dict[int, list[int]] = {z: [] for z in succ}
-    for v, c, u in system.edges:
-        if u != 0 and v != 0:
-            succ[u].append((c, v))
-            pred[v].append(u)
-
-    best: Optional[tuple[int, int, dict[int, int]]] = None  # (length, start, distances to start)
-    for start in sorted(succ):
-        exits = {v for _, v in succ[start]}
-        limit = len(succ) if best is None else best[0] - 2
-        dist = {start: 0}
-        frontier = [start]
-        depth = 0
-        while frontier and exits.isdisjoint(frontier) and depth < limit:
-            depth += 1
-            level = []
-            for v in frontier:
-                for u in pred[v]:
-                    if u not in dist:
-                        dist[u] = depth
-                        level.append(u)
-            frontier = level
-        if not exits.isdisjoint(frontier):
-            best = (depth + 1, start, dist)
-            if depth == 0:
-                break
-    if best is None:
+    step = {z: (d, y) for z, d, y in system.edges}
+    if len(step) != len(system.edges) or len(step) != len(system.nodes):
+        raise ValueError("cycle search needs exactly one edge from every integer point")
+    reached_by, cycles = {0: None}, []
+    for start in system.nodes:
+        path, z = [], start
+        while z not in reached_by:
+            reached_by[z] = start
+            path.append(z)
+            z = step[z][1]
+        if reached_by[z] == start:
+            cycle = path[path.index(z) :]
+            cycles.append((len(cycle), min(cycle), cycle))
+    if not cycles:
         return None
-
-    length, start, dist = best
-    nodes, digits = [start], []
-    for remaining in range(length - 1, -1, -1):
-        c, v = min((c, v) for c, v in succ[nodes[-1]] if dist.get(v) == remaining)
-        digits.append(c)
-        nodes.append(v)
-    witness = CycleWitness(nodes=tuple(nodes[:-1]), digits=tuple(digits))
+    _, least, cycle = min(cycles)
+    # Witness step u -(c)-> v means v = (u + c) / base, the reverse of the edge v -(c)-> u.
+    i = cycle.index(least)
+    nodes = tuple(reversed(cycle[i + 1 :] + cycle[: i + 1]))
+    witness = CycleWitness(nodes=nodes, digits=tuple(step[v][0] for v in nodes[1:] + nodes[:1]))
     assert witness.verify(system.base)
     return witness
 

@@ -133,6 +133,8 @@ def _decide(inst: ProblemInstance, t, omega: Optional[SignWord], node_budget: in
         return EigenDecision(t=t, verdict=Verdict.NOT_SPECTRUM, reason=Reason.SHARES_FACTOR_WITH_N, omega=omega)
     system = scaled_system(inst, t, omega, node_budget=node_budget)
     cycle = _find_nonzero_cycle(system)
+    # t is coprime to N, so the graph is a permutation: every point lies on a cycle, and 0's is {0}.
+    assert (cycle is None) == (len(system.nodes) == 1)
     return EigenDecision(
         t=t,
         verdict=Verdict.SPECTRUM if cycle is None else Verdict.NOT_SPECTRUM,

@@ -23,10 +23,6 @@ class InvalidParameters(SpeigenError):
         return [code for code, _ in self.reasons]
 
 
-class SizeMismatch(SpeigenError):
-    """Digit sets of a candidate Hadamard pair differ in cardinality."""
-
-
 class ZeroScaling(SpeigenError):
     """A scaling factor of zero was supplied where a nonzero one is required."""
 

@@ -1,4 +1,4 @@
-"""Numeric reference checks that no command of the package calls.
+"""Reference checks that no command of the package calls.
 
 The tests import these as oracles for the exact routines in ``speigen``.
 """
@@ -7,7 +7,11 @@ import math
 
 import numpy as np
 
-from speigen import SizeMismatch
+from speigen import CycleWitness, SpeigenError
+
+
+class SizeMismatch(SpeigenError):
+    """Digit sets of a candidate Hadamard pair differ in cardinality."""
 
 
 def hadamard_check_numeric(b: int, Dset, Cset, tol: float = 1e-9) -> bool:
@@ -32,3 +36,56 @@ def hadamard_check_numeric(b: int, Dset, Cset, tol: float = 1e-9) -> bool:
     H = np.exp(2j * math.pi * phases) / math.sqrt(n)
     gram = H.conj().T @ H
     return bool(np.max(np.abs(gram - np.eye(n))) <= tol)
+
+
+def bfs_least_cycle(system):
+    """Least cycle through nonzero points of any transition graph, or None.
+
+    Minimality is by (length, start node, digit sequence), as in
+    :func:`speigen.find_nonzero_cycle`, which needs one edge from every
+    point; this search takes any number.  Each start, in ascending order,
+    gets one reverse BFS of distances to it, level by level until a level
+    holds one of its successors: that depth plus one is its shortest
+    return.  Only a strictly shorter return displaces the best start so
+    far, so later searches stop at depth ``best - 2``.  The digits are then
+    read off greedily: from each node, the least digit whose successor lies
+    exactly ``remaining`` steps from the start.
+    """
+    # Witness step u -(c)-> v means v = (u + c) / base, the reverse of the stored edge v -(c)-> u.
+    succ = {z: [] for z in system.nodes if z != 0}
+    pred = {z: [] for z in succ}
+    for v, c, u in system.edges:
+        if u != 0 and v != 0:
+            succ[u].append((c, v))
+            pred[v].append(u)
+
+    best = None  # (length, start, distances to start)
+    for start in sorted(succ):
+        exits = {v for _, v in succ[start]}
+        limit = len(succ) if best is None else best[0] - 2
+        dist = {start: 0}
+        frontier = [start]
+        depth = 0
+        while frontier and exits.isdisjoint(frontier) and depth < limit:
+            depth += 1
+            level = []
+            for v in frontier:
+                for u in pred[v]:
+                    if u not in dist:
+                        dist[u] = depth
+                        level.append(u)
+            frontier = level
+        if not exits.isdisjoint(frontier):
+            best = (depth + 1, start, dist)
+            if depth == 0:
+                break
+    if best is None:
+        return None
+
+    length, start, dist = best
+    nodes, digits = [start], []
+    for remaining in range(length - 1, -1, -1):
+        c, v = min((c, v) for c, v in succ[nodes[-1]] if dist.get(v) == remaining)
+        digits.append(c)
+        nodes.append(v)
+    return CycleWitness(nodes=tuple(nodes[:-1]), digits=tuple(digits))

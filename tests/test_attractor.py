@@ -1,7 +1,7 @@
 import math
 import random
 from bisect import bisect_left, bisect_right
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +22,7 @@ from speigen.attractor import _phase_intervals, _split
 from speigen.eigen import Verdict, decide_scaling, scaled_system
 
 from conftest import instance_family
+from oracles import bfs_least_cycle
 
 
 def brute_force_members(b, digits, lo, hi):
@@ -320,7 +321,7 @@ def test_random_phases_give_the_block_graph():
     # Phases of unequal sizes, some with at least b digits, and 10% of them with block digits
     # that two digit words reach: the walks then give one edge per block digit.
     rng = random.Random(55)
-    collisions = 0
+    collisions = maps = 0
     for _ in range(400):
         b, r, spread = rng.randint(2, 12), rng.randint(1, 3), rng.choice([1, 3, 10, 100])
         phases = [rng.sample(range(-spread * b, spread * b + 1), rng.randint(1, min(5, 2 * spread * b))) for _ in range(r)]
@@ -332,8 +333,12 @@ def test_random_phases_give_the_block_graph():
         case = (b, phases)
         assert (system.base, system.digits, system.lo, system.hi) == (expected.base, expected.digits, expected.lo, expected.hi), case
         assert (system.nodes, system.edges) == (expected.nodes, expected.edges), case
-        assert find_nonzero_cycle(system) == find_nonzero_cycle(expected), case
-    assert collisions >= 20
+        witness = bfs_least_cycle(system)
+        assert witness == bfs_least_cycle(expected), case
+        if len(system.edges) == len(system.nodes):  # one edge from every point: a map
+            maps += 1
+            assert find_nonzero_cycle(system) == witness, case
+    assert collisions >= 20 and maps >= 100
 
 
 def test_phases_give_the_block_integer_points_at_large_t():
@@ -497,15 +502,26 @@ def test_cycle_examples():
     assert find_nonzero_cycle(build_graph(12, [0, 3, 6, 9])) is None
 
 
+def test_cycle_witness_verify_rejects_broken_witnesses():
+    assert CycleWitness(nodes=(13, 17), digits=(157, 113)).verify(10)
+    assert not CycleWitness(nodes=(13, 17), digits=(113, 157)).verify(10)  # steps do not close
+    assert not CycleWitness(nodes=(3,), digits=(34,)).verify(12)
+    assert not CycleWitness(nodes=(0,), digits=(0,)).verify(12)  # a zero node
+    assert not CycleWitness(nodes=(3,), digits=(33,)).verify(10)  # the wrong base
+
+
 def test_cycle_witness_is_minimal():
     # All of 3, 6, 9 carry self-loops; the least start node must be chosen.
     witness = find_nonzero_cycle(build_graph(12, [0, 33, 66, 99]))
     assert witness.nodes == (3,)
     # 13 returns through 17 (digits 157, 113) or through 18 (167, 112): the least digits win.
+    # 13 has two edges there, so the graph is no map and only the general searches take it.
     system = build_graph(10, [0, 112, 113, 157, 167])
-    witness = find_nonzero_cycle(system)
+    witness = bfs_least_cycle(system)
     assert witness == CycleWitness(nodes=(13, 17), digits=(157, 113))
     assert least_cycle_oracle(system) == witness
+    with pytest.raises(ValueError, match="one edge from every integer point"):
+        find_nonzero_cycle(system)
 
 
 def test_cycle_recurrence_orientation():
@@ -557,6 +573,30 @@ def test_cycle_search_matches_exhaustive_oracle(family_small):
                     system = scaled_system(inst, t, omega)
                     assert find_nonzero_cycle(system) == least_cycle_oracle(system), (inst.describe(), omega, t)
     assert {0, 1, 2} <= lengths
+
+
+def test_scaled_graphs_are_maps_and_coprime_scalings_permute():
+    # 10,000 seeded triples of instance_family(m_limit=130) x 1 <= t < 40 x sign words of period
+    # r <= 4: every point has one out-edge, and one in-edge when gcd(t, N) = 1.  A t sharing a
+    # factor with N can give a point two in-edges, and the orbit walk still equals the BFS there.
+    rng = random.Random(16)
+    family = instance_family(m_limit=130)
+    words = [SignWord.from_bits(r, bits) for r in (1, 2, 3, 4) for bits in range(2**r)]
+    merged = cycles = 0
+    for _ in range(10_000):
+        inst, t, omega = rng.choice(family), rng.randrange(1, 40), rng.choice(words)
+        system = scaled_system(inst, t, omega)
+        case = (inst.describe(), t, omega)
+        assert sorted(z for z, _, _ in system.edges) == list(system.nodes), case
+        in_degrees = Counter(y for _, _, y in system.edges)
+        if math.gcd(t, inst.N) == 1:
+            assert all(in_degrees[z] == 1 for z in system.nodes), case
+        else:
+            merged += max(in_degrees.values()) > 1
+        witness = find_nonzero_cycle(system)
+        assert witness == bfs_least_cycle(system), case
+        cycles += witness is not None
+    assert merged >= 1000 and cycles >= 100
 
 
 def test_word_examples():

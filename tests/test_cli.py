@@ -125,6 +125,16 @@ def test_attractor_command(capsys):
         assert "scaling t must be nonzero" in err, argv
 
 
+def test_attractor_at_a_scaling_sharing_a_factor_with_n(capsys):
+    # t = 10 on M = 6: 1 and 6 both step to 6, 5 and 0 both to 0, so the graph is a map but no
+    # permutation; the walk from 1 closes the cycle on 6.
+    code, out, _ = run_cli(capsys, ["attractor", "--N", "2", "--R", "3", "--q", "1", "--p=", "--t", "10", "--json"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["graph"]["nodes"] == ["0", "1", "5", "6"] and report["integer_points"] == 4
+    assert report["cycle"] == {"nodes": ["6"], "digits": ["30"]}
+
+
 def test_zeroset_command(capsys):
     code, out, _ = run_cli(capsys, ["zeroset", *INST12, "--t", "3", "--json"])
     assert code == 0

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from speigen import (
-    SizeMismatch,
     ZeroScaling,
     completeness_probe,
     fourier_power,
@@ -25,7 +24,7 @@ from speigen import (
     zero_set_decompose,
 )
 
-from oracles import hadamard_check_numeric
+from oracles import SizeMismatch, hadamard_check_numeric
 
 
 def mask_direct_sum(inst, x):

@@ -95,7 +95,7 @@ def corpus(config_dir: Path) -> list[list[str]]:
         for t in ("11", "7/5", "35/11", "-13/7", "2/3", "53/9"):
             both("type2", *inst, "--t=" + t)
             both("type2", *inst, "--t=" + t, "--r-max", "4")
-        for t in ("0", "11", "-7", "1001"):
+        for t in ("0", "11", "-7", "1001", "4", "-6", "10", "15"):
             both("attractor", *inst, "--t=" + t)
             for word in ("1,-1", "1,1,-1", "-1,1,-1,1"):
                 both("attractor", *inst, "--t=" + t, "--omega=" + word)
