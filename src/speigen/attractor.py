@@ -3,14 +3,23 @@
 ``T(b, C)`` is the compact set of base-b expansions ``sum_j b**-j c_j`` with
 digits from C.  Its integer points all lie in the interval
 ``[ceil(min C / (b-1)), floor(max C / (b-1))]`` and form the greatest fixed
-point of ``S -> {z : exists c in C with b*z - c in S}``.  ``integer_points``
-meets in the middle: word sums of the first h digits narrow the interval to
-ranges top-down, the residues modulo ``b**k`` that walks of k steps
-``x -> b*x - c`` end in filter those ranges bottom-up, and worklist removal
-on the few candidates left keeps every cycle.  Closing that fixed set
-backward inside the interval then gives exactly the integer points, since
-every point reaches a cycle.  The work is about ``#C**h + #C**k`` plus the
-candidates, where a one-sided refinement costs ``width ** (log #C / log b)``.
+point of ``S -> {z : exists c in C with b*z - c in S}``.
+
+Every digit set here is spaced: its span ``max C - min C`` is less than
+``b - 1`` times its least gap.  The interval is then narrower than that gap,
+so each integer z has at most one successor ``b*z - c`` in it, and
+``#C < b``.  Every scaled set ``|t| * L`` of an instance is spaced: its span
+is at most ``|t| * (M - c)``, with the instance's scale ``c >= 2``, less than
+``M - 1`` times its least gap, which is at least ``|t|``.
+
+``integer_points`` meets in the middle: word sums of the first h digits
+narrow the interval to ranges top-down, the residues modulo ``b**k`` that
+walks of k steps ``x -> b*x - c`` end in filter those ranges bottom-up, and
+a walk along the successors of the few candidates left finds every cycle.
+Closing the cycles backward inside the interval then gives exactly the
+integer points, since every point reaches a cycle.  The work is about
+``#C**h + #C**k`` plus the candidates, where a one-sided refinement costs
+``width ** (log #C / log b)``.
 
 The same algorithm runs on a periodic sequence of digit sets, the phases
 ``C_0, ..., C_(r-1)``: step p of a walk takes its digit from phase p mod r.
@@ -18,13 +27,13 @@ Its phase-0 points are the integer points of ``T(b**r, B)`` with the block
 digits ``B = {sum_p b**(r-1-p) c_p}``, and r steps from phase 0 back to it
 are one block step, so a block system of ``prod_p #C_p`` digits is handled
 through r sets of ``#C_p`` digits each, and one phase is ``T(b, C)``.
-``build_graph`` reads the block edges off walks of r steps, one loop over
-the phases, that end on a point.
+``build_graph`` reads the block edge of each point off its walk of r steps,
+one successor per step.
 
 A cycle through nonzero integer points (equivalently a word witness for the
 divisibility criterion) certifies that the scaled set fails to be a spectrum.
-Every scaled graph is a map, one block edge from each point, because block
-expansions are unique; ``find_nonzero_cycle`` walks its orbits.
+Every graph of spaced phases is a map, one block edge from each point;
+``find_nonzero_cycle`` walks its orbits.
 ``word_witness_search`` is the brute-force oracle for the same criterion,
 least in (length, lexicographic) order.
 """
@@ -34,7 +43,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import BudgetExceeded
 
@@ -66,11 +75,14 @@ class AttractorSystem:
 
     @cached_property
     def digits(self) -> tuple[int, ...]:
-        """The sorted block digits, one per word of one digit from each phase."""
+        """The sorted block digits, one per word of one digit from each phase.
+
+        Spaced phases give distinct words distinct sums, so no block digit repeats.
+        """
         sums = [0]
         for phase in self.phases:
             sums = [self.radix * s + c for s in sums for c in phase]
-        return tuple(sorted(set(sums)))
+        return tuple(sorted(sums))
 
     def to_json_dict(self) -> dict:
         return {
@@ -136,21 +148,17 @@ def _phase_intervals(b: int, phases: Sequence[Sequence[int]]) -> list[tuple[int,
     return intervals
 
 
-def _split(b: int, count: int, width: int) -> tuple[Optional[int], int]:
+def _split(b: int, count: int, width: int) -> tuple[int, int]:
     """Levels (h, k) of the top-down word sums and the bottom-up residues.
 
-    While ``#C < b`` each level keeps about ``#C / b`` of the candidates, so
-    ``L = h + k`` levels leave about ``width * (#C/b)**L`` of them, against
-    ``#C**h`` word sums and ``#C**k`` residues.  L is the least with the
-    candidates no more than ``#C**(k+1)``, split as ``h = L // 2`` and
-    ``k = L - h``.  ``L = 0`` is the plain scan of the interval, where a
-    short interval with many digits stops.  With ``#C >= b`` this estimate
-    sees no level shrink the candidates, yet clustered digits still do; h is
-    then None, for the top-down refinement to stop by what it covers, and
-    k = 0.
+    Spaced digits have ``#C < b``, and each level keeps about ``#C / b`` of
+    the candidates, so ``L = h + k`` levels leave about
+    ``width * (#C/b)**L`` of them, against ``#C**h`` word sums and
+    ``#C**k`` residues.  L is the least with the candidates no more than
+    ``#C**(k+1)``, split as ``h = L // 2`` and ``k = L - h``.  ``L = 0`` is
+    the plain scan of the interval, where a short interval with many digits
+    stops.
     """
-    if count >= b:
-        return None, 0
     levels = 0
     while width * count**levels > count ** ((levels + 1) // 2 + 1) * b**levels:
         levels += 1
@@ -169,8 +177,7 @@ def _covered_ranges(
     b: int,
     phases: Sequence[Sequence[int]],
     intervals: Sequence[tuple[int, int]],
-    levels: Optional[int],
-    budget: int,
+    levels: int,
 ) -> list[tuple[int, int]]:
     """Disjoint sorted ranges of the phase-0 integers that word sums of ``levels`` digits cover.
 
@@ -180,29 +187,11 @@ def _covered_ranges(
     window that keeps such z inside phase 0's interval, and keeps a sum iff
     it still covers an integer: inside that window, iff the next interval
     shifted by ``b*w + c`` holds a multiple of ``b**(j+1)``.
-
-    ``levels=None`` refines until the covered integers number no more than
-    the next level's bound on word sums (``#words * #C``), or that bound
-    exceeds ``budget``.
     """
     r = len(phases)
     lo, hi = intervals[0]
-    words, scale, j = {0}, 1, 0
-    while True:
-        if levels is None or j == levels:
-            lo_q, hi_q = intervals[j % r]
-            ranges: list[tuple[int, int]] = []
-            for w in sorted(words):  # ranges start in the order of their word sums
-                first, last = max(lo, -((-(lo_q + w)) // scale)), min(hi, (hi_q + w) // scale)
-                if ranges and first <= ranges[-1][1] + 1:
-                    ranges[-1] = (ranges[-1][0], max(last, ranges[-1][1]))
-                else:
-                    ranges.append((first, last))
-            if levels is not None:
-                return ranges
-            bound = len(words) * len(phases[j % r])
-            if bound > budget or sum(last - first + 1 for first, last in ranges) <= bound:
-                return ranges
+    words, scale = {0}, 1
+    for j in range(levels):
         digits = phases[j % r]
         lo_q, hi_q = intervals[(j + 1) % r]
         scale *= b
@@ -213,7 +202,15 @@ def _covered_ranges(
                 if (hi_q + bw + c) % scale <= hi_q - lo_q:
                     refined.add(bw + c)
         words = refined
-        j += 1
+    lo_q, hi_q = intervals[levels % r]
+    ranges: list[tuple[int, int]] = []
+    for w in sorted(words):  # ranges start in the order of their word sums
+        first, last = max(lo, -((-(lo_q + w)) // scale)), min(hi, (hi_q + w) // scale)
+        if ranges and first <= ranges[-1][1] + 1:
+            ranges[-1] = (ranges[-1][0], max(last, ranges[-1][1]))
+        else:
+            ranges.append((first, last))
+    return ranges
 
 
 def _end_residues(b: int, phases: Sequence[Sequence[int]], levels: int) -> list[int]:
@@ -233,7 +230,7 @@ def _end_residues(b: int, phases: Sequence[Sequence[int]], levels: int) -> list[
 
 
 def integer_points(b: int, *phases, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[int, ...]:
-    """All integers in T(b**r, B), the block digits B given by r phases over base b.
+    """All integers in T(b**r, B), the block digits B given by r spaced phases over base b.
 
     One phase C is T(b, C) itself.  With r phases, a block step
     ``z -> b**r z - d`` is r steps ``z -> b*z - c``, step p taking its digit
@@ -241,6 +238,12 @@ def integer_points(b: int, *phases, node_budget: int = DEFAULT_NODE_BUDGET) -> t
     the phase-0 points of the periodic system, and no block digit is built.
     Every point of phase p lies in its candidate interval and has a
     successor of phase p + 1 there; the points form the greatest such family.
+
+    The phases must be spaced: the largest span ``max C_p - min C_p`` is
+    less than ``b - 1`` times the least gap between two digits of a phase,
+    or this raises ``ValueError``.  Every interval is then narrower than
+    that gap, so the window ``[b*z - hi, b*z - lo]`` that keeps a step
+    inside the next interval holds at most one digit, and ``#C_p < b``.
 
     * Top-down, a point z of phase 0 lies in a range that word sums of h
       digits cover: some ``w = sum_j b**(h-j) c_j``, with ``c_j`` from phase
@@ -253,34 +256,37 @@ def integer_points(b: int, *phases, node_budget: int = DEFAULT_NODE_BUDGET) -> t
       of each range.  Those of phase p + 1 are the successors of phase p's
       inside its interval, which holds every cycle point of phase p + 1.
 
-    The worklist then removes zero-out-degree candidates and decrements
-    their predecessors.  What stays is the greatest fixed family inside the
-    candidates: it holds every cycle, since the candidates do, and lies
-    inside the integer points.  Every integer point reaches a cycle, and an
-    integer predecessor ``(y + c) / b`` of a point y is a point: it lies in
-    its interval whenever y does.  So closing the fixed family backward
-    gives exactly the integer points.  ``_split`` chooses h and k from b, #C
-    and the width; a short interval with many digits gets h = k = 0, the
-    plain scan, and ``#C >= b`` refines top-down by what the ranges cover.
+    Each candidate keeps its one successor, found by one bisection, and r
+    successors from phase 0 make a block step.  A walk along the block steps
+    finds every cycle among the candidates, and so every cycle of integer
+    points.  Every integer point reaches a cycle, and an integer predecessor
+    ``(y + c) / b`` of a point y is a point: it lies in its interval
+    whenever y does.  So closing the cycles backward gives exactly the
+    integer points.  ``_split`` chooses h and k from b, #C and the width; a
+    short interval with many digits gets h = k = 0, the plain scan.
 
     ``node_budget`` bounds the word sums (at most ``#C**h``), the residues
-    (at most ``#C**k``, and k > 0 only when ``#C < b``) and the candidates
-    of all phases, not the width of the intervals.  Each is counted before
-    it is built, except the candidates of the phases after phase 0, counted
-    as each phase is derived.
+    (at most ``#C**k``) and the candidates of all phases, not the width of
+    the intervals.  Each is counted before it is built, except the
+    candidates of the phases after phase 0, counted as each phase is
+    derived.
     """
     if b < 2:
         raise ValueError("base b must be at least 2")
     phases = [sorted(set(C)) for C in phases]
     if not phases or not all(phases):
         raise ValueError("digit set must be nonempty")
+    span = max(digits[-1] - digits[0] for digits in phases)
+    gap = min((y - x for digits in phases for x, y in zip(digits, digits[1:])), default=span + 1)
+    if span >= (b - 1) * gap:
+        raise ValueError(f"digit sets must be spaced, span < (b - 1) * least gap: span {span}, least gap {gap}, b = {b}")
     intervals = _phase_intervals(b, phases)
     if any(hi < lo for lo, hi in intervals):
         return ()
     r, sizes = len(phases), [len(digits) for digits in phases]
     lo, hi = intervals[0]
     h, k = _split(b, max(sizes), hi - lo + 1)
-    sums = 0 if h is None else _word_count(sizes, 0, h)  # None: the refinement keeps within the budget
+    sums = _word_count(sizes, 0, h)
     if sums > node_budget:
         raise BudgetExceeded("attractor word sums", sums, node_budget)
     ends = _word_count(sizes, -k, k)
@@ -291,7 +297,7 @@ def integer_points(b: int, *phases, node_budget: int = DEFAULT_NODE_BUDGET) -> t
     # are residues[i:] in the first block, every residue in each block between, residues[:j] in the last.
     spans = []
     count = 0
-    for first, last in _covered_ranges(b, phases, intervals, h, node_budget):
+    for first, last in _covered_ranges(b, phases, intervals, h):
         start, end = first - first % modulus, last - last % modulus
         i, j = bisect_left(residues, first - start), bisect_right(residues, last - end)
         spans.append((start, i, end, j))
@@ -306,40 +312,27 @@ def integer_points(b: int, *phases, node_budget: int = DEFAULT_NODE_BUDGET) -> t
             candidates += [start + v for v in residues[i:]]
             candidates += [block + v for block in range(start + modulus, end, modulus) for v in residues]
             candidates += [end + v for v in residues[:j]]
-    degree = [dict.fromkeys(candidates, 0)]
-    for digits, (lo, hi) in zip(phases, intervals[1:]):
-        # Successors b*z - c inside the next interval: digits in the window [b*z - hi, b*z - lo].
-        successors = {
-            bz - c
-            for z in degree[-1]
-            for bz in (b * z,)
-            for c in digits[bisect_left(digits, bz - hi) : bisect_right(digits, bz - lo)]
-        }
-        count += len(successors)
-        if count > node_budget:
-            raise BudgetExceeded("attractor candidates", count, node_budget)
-        degree.append(dict.fromkeys(successors, 0))
 
-    # Out-degree of z at phase p: digits in the window [b*z - hi, b*z - lo] of phase p + 1
-    # landing on a candidate there.
-    dead: list[list[int]] = []
-    for p, digits in enumerate(phases):
-        here, there = degree[p], degree[(p + 1) % r]
-        lo, hi = intervals[(p + 1) % r]
-        stack = []
+    # The successor of z at phase p is b*z - c for the one digit c of phase p in the window
+    # [b*z - hi, b*z - lo] of the interval of phase p + 1, if there is one.
+    successors: list[dict[int, int]] = []
+    here: Iterable[int] = candidates
+    for digits, (lo, hi) in zip(phases, intervals[1:] + intervals[:1]):
+        if successors:
+            here = set(successors[-1].values())
+            count += len(here)
+            if count > node_budget:
+                raise BudgetExceeded("attractor candidates", count, node_budget)
+        step, size = {}, len(digits)
         for z in here:
             bz = b * z
-            out = 0
-            for c in digits[bisect_left(digits, bz - hi) : bisect_right(digits, bz - lo)]:
-                if bz - c in there:
-                    out += 1
-            here[z] = out
-            if out == 0:
-                stack.append(z)
-        dead.append(stack)
-    for here, stack in zip(degree, dead):
-        for z in stack:
-            del here[z]
+            i = bisect_left(digits, bz - hi)
+            if i < size and digits[i] <= bz - lo:
+                step[z] = bz - digits[i]
+        successors.append(step)
+    block = successors[0]  # r steps from phase 0 back to it, where every cycle passes
+    for step in successors[1:]:
+        block = {z: step[y] for z, y in block.items() if y in step}
 
     # A point y of phase q has its predecessors (y + c) / b at phase q - 1, c from phase q - 1.
     by_residue: list[dict[int, list[int]]] = []
@@ -349,20 +342,8 @@ def integer_points(b: int, *phases, node_budget: int = DEFAULT_NODE_BUDGET) -> t
             classes.setdefault(c % b, []).append(c)
         by_residue.append(classes)
 
-    while any(dead):
-        for q, stack in enumerate(dead):
-            here, classes, removed = degree[q - 1], by_residue[q - 1], dead[q - 1]
-            while stack:
-                y = stack.pop()
-                for c in classes.get((-y) % b, ()):
-                    x = (y + c) // b
-                    if x in here:
-                        here[x] -= 1
-                        if here[x] == 0:
-                            del here[x]
-                            removed.append(x)
-
-    points = [set(d) for d in degree]
+    points: list[set[int]] = [set() for _ in phases]
+    points[0].update(z for cycle in _orbit_cycles(block, block) for z in cycle)
     stacks = [list(s) for s in points]
     while any(stacks):
         for q, stack in enumerate(stacks):
@@ -378,33 +359,48 @@ def integer_points(b: int, *phases, node_budget: int = DEFAULT_NODE_BUDGET) -> t
 
 
 def build_graph(b: int, *phases, node_budget: int = DEFAULT_NODE_BUDGET) -> AttractorSystem:
-    """Integer points of T(b**r, B) plus every block transition z -(d)-> b**r z - d inside them.
+    """Integer points of T(b**r, B) plus the block transition z -(d)-> b**r z - d from each.
 
-    B is given by r phases over base b as in :func:`integer_points`; one
-    phase C is T(b, C).  The block edges from a point z are its walks of r
-    steps ``y -> b*y - c``, step p taking its digit from phase p inside the
-    window of the interval of phase p + 1 (mod r), that end on a point; the
-    walk's digits sum to its block digit ``d = sum_p b**(r-1-p) c_p``.
+    B is given by r spaced phases over base b as in :func:`integer_points`;
+    one phase C is T(b, C).  The block edge from a point z is its walk of r
+    steps ``y -> b*y - c``, step p taking the one digit of phase p in the
+    window of the interval of phase p + 1 (mod r).  A point's successor is a
+    point, so the walk ends on a point; its digits sum to the block digit
+    ``d = sum_p b**(r-1-p) c_p``.
     """
     phases = tuple(tuple(sorted(set(C))) for C in phases)
     nodes = integer_points(b, *phases, node_budget=node_budget)
     intervals = _phase_intervals(b, phases)
-    # Step p of a walk takes its digit from phase p, inside the window [b*y - hi, b*y - lo]
-    # that keeps it in the interval of phase p + 1 (mod r): the last step returns to phase 0.
-    walks = [(z, z, 0) for z in nodes]  # (start, position, the digits so far as one block digit)
-    for p, digits in enumerate(phases):
-        lo_q, hi_q = intervals[(p + 1) % len(phases)]
-        walks = [
-            (z, by - c, b * d + c)
-            for z, y, d in walks
-            for by in (b * y,)
-            for c in digits[bisect_left(digits, by - hi_q) : bisect_right(digits, by - lo_q)]
-        ]
-    node_set = set(nodes)
-    # Two walks with equal digit sums are one block digit, so one edge.
-    edges = sorted({(z, d, y) for z, y, d in walks if y in node_set})
+    edges = []
+    for z in nodes:
+        y, d = z, 0
+        for digits, (lo, hi) in zip(phases, intervals[1:] + intervals[:1]):
+            by = b * y
+            c = digits[bisect_left(digits, by - hi)]
+            y, d = by - c, b * d + c
+        edges.append((z, d, y))
     lo, hi = intervals[0]
     return AttractorSystem(radix=b, phases=phases, lo=lo, hi=hi, nodes=nodes, edges=tuple(edges))
+
+
+def _orbit_cycles(successor: dict[int, int], starts: Iterable[int], stop: Iterable[int] = ()) -> list[list[int]]:
+    """The cycles of a partial map, each a list of nodes in walk order.
+
+    A walk from each start, in order, marks the nodes it reaches; it ends at
+    a node the map leaves out, at a node of ``stop`` or at a mark, and
+    closes a new cycle when that mark is its own.  Each node is walked once.
+    """
+    reached_by: dict[int, Optional[int]] = dict.fromkeys(stop)
+    cycles = []
+    for start in starts:
+        path, z = [], start
+        while z in successor and z not in reached_by:
+            reached_by[z] = start
+            path.append(z)
+            z = successor[z]
+        if reached_by.get(z) == start:
+            cycles.append(path[path.index(z) :])
+    return cycles
 
 
 def find_nonzero_cycle(system: AttractorSystem) -> Optional[CycleWitness]:
@@ -416,26 +412,18 @@ def find_nonzero_cycle(system: AttractorSystem) -> Optional[CycleWitness]:
     counting as seen, and closes a new cycle when it meets its own mark.
     The least cycle by (length, least node) is read backward from that node.
     """
-    step = {z: (d, y) for z, d, y in system.edges}
-    if len(step) != len(system.edges) or len(step) != len(system.nodes):
+    successor = {z: y for z, _, y in system.edges}
+    if len(successor) != len(system.edges) or len(successor) != len(system.nodes):
         raise ValueError("cycle search needs exactly one edge from every integer point")
-    reached_by, cycles = {0: None}, []
-    for start in system.nodes:
-        path, z = [], start
-        while z not in reached_by:
-            reached_by[z] = start
-            path.append(z)
-            z = step[z][1]
-        if reached_by[z] == start:
-            cycle = path[path.index(z) :]
-            cycles.append((len(cycle), min(cycle), cycle))
+    cycles = _orbit_cycles(successor, system.nodes, stop=(0,))
     if not cycles:
         return None
-    _, least, cycle = min(cycles)
+    _, least, cycle = min((len(cycle), min(cycle), cycle) for cycle in cycles)
     # Witness step u -(c)-> v means v = (u + c) / base, the reverse of the edge v -(c)-> u.
     i = cycle.index(least)
     nodes = tuple(reversed(cycle[i + 1 :] + cycle[: i + 1]))
-    witness = CycleWitness(nodes=nodes, digits=tuple(step[v][0] for v in nodes[1:] + nodes[:1]))
+    digit = {z: d for z, d, _ in system.edges}
+    witness = CycleWitness(nodes=nodes, digits=tuple(digit[v] for v in nodes[1:] + nodes[:1]))
     assert witness.verify(system.base)
     return witness
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from speigen import (
+    AttractorSystem,
     BudgetExceeded,
     CycleWitness,
     SignWord,
@@ -23,6 +24,32 @@ from speigen.eigen import Verdict, decide_scaling, scaled_system
 
 from conftest import instance_family
 from oracles import bfs_least_cycle
+
+
+def thin(points, gap):
+    """The sorted points, each kept when it lies at least ``gap`` above the last one kept."""
+    kept = []
+    for x in sorted(points):
+        if not kept or x - kept[-1] >= gap:
+            kept.append(x)
+    return kept
+
+
+def spaced_digits(rng, b, gap, size):
+    """At most ``size`` digits drawn from ``[0, (b - 1) * gap)``, thinned to gaps of at least ``gap``, then shifted.
+
+    Their span is below ``(b - 1) * gap``, so every set drawn with one gap is spaced.
+    """
+    shift = rng.randint(-(b - 1) * gap, (b - 1) * gap)
+    return [shift + x for x in thin(rng.sample(range((b - 1) * gap), size), gap)]
+
+
+def is_spaced(b, phases):
+    """Whether the largest span of the phases is below ``b - 1`` times their least gap."""
+    phases = [sorted(set(C)) for C in phases]
+    span = max(C[-1] - C[0] for C in phases)
+    gaps = [y - x for C in phases for x, y in zip(C, C[1:])]
+    return not gaps or span < (b - 1) * min(gaps)
 
 
 def brute_force_members(b, digits, lo, hi):
@@ -223,10 +250,12 @@ def test_integer_points_against_brute_force(inst12, inst48):
 
 @st.composite
 def digit_systems(draw):
+    # Spaced digit sets: points of [0, (b - 1) * gap) thinned to gaps of at least `gap`, then shifted.
     b = draw(st.integers(2, 60))
-    spread = draw(st.sampled_from([1, 10, 100, 1000]))
-    digits = draw(st.sets(st.integers(-spread * b, spread * b), min_size=1, max_size=min(b - 1, 12)))
-    return b, sorted(digits)
+    gap = draw(st.sampled_from([1, 2, 10, 100, 1000]))
+    points = draw(st.sets(st.integers(0, (b - 1) * gap - 1), min_size=1, max_size=12))
+    shift = draw(st.integers(-(b - 1) * gap, (b - 1) * gap))
+    return b, [shift + x for x in thin(points, gap)]
 
 
 @settings(max_examples=400, deadline=None)
@@ -318,27 +347,25 @@ def test_phases_give_the_block_graph_on_the_family():
 
 
 def test_random_phases_give_the_block_graph():
-    # Phases of unequal sizes, some with at least b digits, and 10% of them with block digits
-    # that two digit words reach: the walks then give one edge per block digit.
+    # Spaced phases of unequal sizes drawn with one gap, each with its own shift.  Their block
+    # digits are spaced over b**r too, and every graph is a map, one edge from each point.
     rng = random.Random(55)
-    collisions = maps = 0
+    cycles = 0
     for _ in range(400):
-        b, r, spread = rng.randint(2, 12), rng.randint(1, 3), rng.choice([1, 3, 10, 100])
-        phases = [rng.sample(range(-spread * b, spread * b + 1), rng.randint(1, min(5, 2 * spread * b))) for _ in range(r)]
+        b, r, gap = rng.randint(2, 12), rng.randint(1, 3), rng.choice([1, 3, 10, 100])
+        phases = [spaced_digits(rng, b, gap, rng.randint(1, min(5, (b - 1) * gap))) for _ in range(r)]
         blocks = [0]
         for phase in phases:
             blocks = [b * s + c for s in blocks for c in phase]
-        collisions += len(set(blocks)) < len(blocks)
         system, expected = build_graph(b, *phases), build_graph(b**r, blocks)
         case = (b, phases)
         assert (system.base, system.digits, system.lo, system.hi) == (expected.base, expected.digits, expected.lo, expected.hi), case
         assert (system.nodes, system.edges) == (expected.nodes, expected.edges), case
+        assert [z for z, _, _ in system.edges] == list(system.nodes), case
         witness = bfs_least_cycle(system)
-        assert witness == bfs_least_cycle(expected), case
-        if len(system.edges) == len(system.nodes):  # one edge from every point: a map
-            maps += 1
-            assert find_nonzero_cycle(system) == witness, case
-    assert collisions >= 20 and maps >= 100
+        assert witness == bfs_least_cycle(expected) == find_nonzero_cycle(system), case
+        cycles += witness is not None
+    assert cycles >= 60
 
 
 def test_phases_give_the_block_integer_points_at_large_t():
@@ -368,6 +395,14 @@ def test_phase_budget_counts(inst12):
     with pytest.raises(BudgetExceeded, match="attractor candidates: needs 9232, budget is 9231"):
         integer_points(12, *phases, node_budget=9231)
     assert len(integer_points(12, *phases, node_budget=9232)) == 136
+    # Three phases at t = 101: 10 candidates of phase 0 and 10 of phase 1, of which only 4 have a
+    # successor inside the interval of phase 2, so phase 2 adds 4 candidates.
+    phases = [[s * 101 * l for l in inst12.L] for s in (-1, 1, 1)]
+    with pytest.raises(BudgetExceeded, match="attractor candidates: needs 20, budget is 19"):
+        integer_points(12, *phases, node_budget=19)
+    with pytest.raises(BudgetExceeded, match="attractor candidates: needs 24, budget is 23"):
+        integer_points(12, *phases, node_budget=23)
+    assert integer_points(12, *phases, node_budget=24) == (0,)
 
 
 def test_block_digits_are_derived_from_the_phases(inst12):
@@ -378,9 +413,10 @@ def test_block_digits_are_derived_from_the_phases(inst12):
 
 
 def test_integer_points_match_the_single_sided_oracle_on_random_digits():
-    # Digit sets with negative digits and candidate intervals up to 1e8 wide, half of
-    # them scaled small digit sets t * D (the shape of every decision), whose points
-    # include cycles.  The width is capped so that the oracle's width ** dim stays small.
+    # Spaced digit sets with negative digits and candidate intervals up to 1e8 wide, half of
+    # them scaled small digit sets t * D (the shape of every decision), whose points include
+    # cycles.  An interval is narrower than the gap, which is capped so that the oracle's
+    # width ** dim stays small.
     rng = random.Random(8)
     split = 0
     for _ in range(300):
@@ -388,37 +424,45 @@ def test_integer_points_match_the_single_sided_oracle_on_random_digits():
         size = rng.randint(2, min(b - 1, 6))
         width = int(10 ** rng.uniform(1, min(8, 4.5 * math.log(b) / math.log(size))))
         if rng.random() < 0.5:
-            base = rng.sample(range(-b, b + 1), size)
+            base = spaced_digits(rng, b, 1, size)
             t = max(1, width * (b - 1) // (max(base) - min(base) + 1))
             digits = [t * d for d in base]
         else:
-            spread = width * (b - 1) // 2
-            digits = [rng.randint(-spread, spread) for _ in range(size)]
+            digits = spaced_digits(rng, b, width, size)
         split += min(_levels(b, digits)) >= 2
         assert integer_points(b, digits) == single_sided_integer_points(b, digits), (b, digits)
     assert split >= 100
 
 
-def test_integer_points_with_at_least_b_digits():
-    # No fixed level count fits #C >= b, so the top-down refinement stops by what it covers.
-    for b, digits in [(3, [-50, 0, 1, 2, 7]), (2, [0, 1, 2, 100]), (2, [0, 1]), (4, list(range(-9, 30, 3)))]:
-        assert _levels(b, digits) == (None, 0)
-        assert integer_points(b, digits) == dense_integer_points(b, digits)
-
-
-def test_integer_points_narrow_clustered_digit_sets():
-    # The plain scan would need all 5,000,001 integers of the interval as candidates;
-    # the refinement leaves few enough for a budget of 10**6.
-    points = integer_points(3, [0, 1, 2, 10**7], node_budget=10**6)
-    assert len(points) == 15736
-    assert points == single_sided_integer_points(3, [0, 1, 2, 10**7])
+def test_unspaced_digit_sets_are_refused():
+    # A span of at least (b - 1) times the least gap: at least b digits, clustered digits beside
+    # far ones, or phases whose block digits two digit words reach.
+    cases = [(3, [[-50, 0, 1, 2, 7]]), (2, [[0, 1, 2, 100]]), (2, [[0, 1]]), (4, [list(range(-9, 30, 3))])]
+    cases += [(3, [[0, 1, 2, 10**7]]), (12, [[0, 10, 121]]), (12, [[0, 33, 66, 99], [0, 1, 2]])]
     rng = random.Random(13)
     for _ in range(100):
         b = rng.randint(2, 6)
         cluster = rng.sample(range(-3 * b, 3 * b), rng.randint(b, 2 * b))
         far = [rng.choice((-1, 1)) * rng.randint(10, 10**3) for _ in range(rng.randint(0, 2))]
-        digits = sorted(set(cluster + far))
-        assert integer_points(b, digits) == dense_integer_points(b, digits), (b, digits)
+        cases.append((b, [cluster + far]))
+    collisions = 0
+    while collisions < 20:
+        b, r = rng.randint(2, 12), rng.randint(2, 3)
+        phases = [rng.sample(range(-b, b + 1), rng.randint(1, 5)) for _ in range(r)]
+        blocks = [0]
+        for phase in phases:
+            blocks = [b * s + c for s in blocks for c in phase]
+        if len(set(blocks)) < len(blocks):
+            collisions += 1
+            cases.append((b, phases))
+    for b, phases in cases:
+        assert not is_spaced(b, phases), (b, phases)
+        with pytest.raises(ValueError, match=r"digit sets must be spaced, span < \(b - 1\) \* least gap"):
+            integer_points(b, *phases)
+        with pytest.raises(ValueError, match="digit sets must be spaced"):
+            build_graph(b, *phases)
+    with pytest.raises(ValueError, match=r"span 121, least gap 10, b = 12$"):
+        integer_points(12, [0, 10, 121])
 
 
 def test_integer_points_budget(inst12):
@@ -516,7 +560,15 @@ def test_cycle_witness_is_minimal():
     assert witness.nodes == (3,)
     # 13 returns through 17 (digits 157, 113) or through 18 (167, 112): the least digits win.
     # 13 has two edges there, so the graph is no map and only the general searches take it.
-    system = build_graph(10, [0, 112, 113, 157, 167])
+    # The digits 0, 112, 113, 157, 167 over base 10 are not spaced, so the graph is built by hand.
+    system = AttractorSystem(
+        radix=10,
+        phases=((0, 112, 113, 157, 167),),
+        lo=0,
+        hi=18,
+        nodes=(0, 13, 17, 18),
+        edges=((0, 0, 0), (13, 112, 18), (13, 113, 17), (17, 157, 13), (18, 167, 13)),
+    )
     witness = bfs_least_cycle(system)
     assert witness == CycleWitness(nodes=(13, 17), digits=(157, 113))
     assert least_cycle_oracle(system) == witness
@@ -576,20 +628,22 @@ def test_cycle_search_matches_exhaustive_oracle(family_small):
 
 
 def test_scaled_graphs_are_maps_and_coprime_scalings_permute():
-    # 10,000 seeded triples of instance_family(m_limit=130) x 1 <= t < 40 x sign words of period
-    # r <= 4: every point has one out-edge, and one in-edge when gcd(t, N) = 1.  A t sharing a
-    # factor with N can give a point two in-edges, and the orbit walk still equals the BFS there.
+    # 10,000 seeded triples of instance_family(m_limit=130) x 1 <= |t| < 40 x sign words of period
+    # r <= 4: the phases are spaced, every point has one out-edge, and one in-edge when
+    # gcd(t, N) = 1.  A t sharing a factor with N can give a point two in-edges, and the orbit
+    # walk still equals the BFS there.
     rng = random.Random(16)
     family = instance_family(m_limit=130)
     words = [SignWord.from_bits(r, bits) for r in (1, 2, 3, 4) for bits in range(2**r)]
     merged = cycles = 0
     for _ in range(10_000):
-        inst, t, omega = rng.choice(family), rng.randrange(1, 40), rng.choice(words)
+        inst, t, omega = rng.choice(family), rng.choice((-1, 1)) * rng.randrange(1, 40), rng.choice(words)
         system = scaled_system(inst, t, omega)
         case = (inst.describe(), t, omega)
+        assert is_spaced(inst.M, system.phases), case
         assert sorted(z for z, _, _ in system.edges) == list(system.nodes), case
         in_degrees = Counter(y for _, _, y in system.edges)
-        if math.gcd(t, inst.N) == 1:
+        if math.gcd(abs(t), inst.N) == 1:
             assert all(in_degrees[z] == 1 for z in system.nodes), case
         else:
             merged += max(in_degrees.values()) > 1

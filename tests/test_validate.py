@@ -1,4 +1,6 @@
 import math
+import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,11 +14,14 @@ from speigen import (
     completeness_probe,
     decide_scaling,
     default_grid,
+    hadamard_check_exact,
     q_function,
     spectrum_level,
     validate,
     zero_set_contains,
 )
+
+from conftest import instance_family
 
 # Frozen against tools/calibrate_q_reference.py (mpmath, 30 digits).
 Q6_AT_HALF_ORACLE = 0.999999576754916776
@@ -25,6 +30,24 @@ Q6_AT_HALF_ORACLE = 0.999999576754916776
 def test_orthogonal_level_two(inst12):
     report = check_orthogonal_set(inst12, spectrum_level(inst12, 1, 2).elements)
     assert report.orthogonal and report.failing_pair is None
+
+
+def test_truncations_are_orthogonal_exactly_when_the_hadamard_check_holds():
+    # 400 seeded cases of instance_family() x 1 <= t < 60 coprime to N x omega in {none, (1,-1),
+    # (1,1,-1)} x levels 1 to 3, up to 800 elements.  For such t the first nonzero digit of a
+    # difference fixes its N-adic valuation below q, so the level-1 check decides every level.
+    rng = random.Random(6)
+    family = instance_family()
+    words = [None, SignWord((1, -1)), SignWord((1, 1, -1))]
+    levels = Counter()
+    while sum(levels.values()) < 400:
+        inst, t, omega, k = rng.choice(family), rng.randrange(1, 60), rng.choice(words), rng.randint(1, 3)
+        if math.gcd(t, inst.N) != 1 or len(inst.L) ** k > 800:
+            continue
+        report = check_orthogonal_set(inst, spectrum_level(inst, t, k, omega).elements)
+        assert report.orthogonal == hadamard_check_exact(inst, t), (inst.describe(), t, omega, k)
+        levels[k] += 1
+    assert min(levels[k] for k in (1, 2, 3)) >= 100
 
 
 def test_not_orthogonal_pair(inst12):
