@@ -434,17 +434,37 @@ def test_integer_points_match_the_single_sided_oracle_on_random_digits():
     assert split >= 100
 
 
-def test_unspaced_digit_sets_are_refused():
-    # A span of at least (b - 1) times the least gap: at least b digits, clustered digits beside
-    # far ones, or phases whose block digits two digit words reach.
-    cases = [(3, [[-50, 0, 1, 2, 7]]), (2, [[0, 1, 2, 100]]), (2, [[0, 1]]), (4, [list(range(-9, 30, 3))])]
-    cases += [(3, [[0, 1, 2, 10**7]]), (12, [[0, 10, 121]]), (12, [[0, 33, 66, 99], [0, 1, 2]])]
+def assert_refused(b, phases):
+    assert not is_spaced(b, phases), (b, phases)
+    with pytest.raises(ValueError, match=r"digit sets must be spaced, span < \(b - 1\) \* least gap"):
+        integer_points(b, *phases)
+    with pytest.raises(ValueError, match="digit sets must be spaced"):
+        build_graph(b, *phases)
+
+
+def test_integer_points_with_at_least_b_digits():
+    # b digits or more span at least (b - 1) times their least gap, so they are refused.
+    for b, digits in [(3, [-50, 0, 1, 2, 7]), (2, [0, 1, 2, 100]), (2, [0, 1]), (4, list(range(-9, 30, 3)))]:
+        assert len(digits) >= b
+        assert_refused(b, [digits])
+
+
+def test_integer_points_narrow_clustered_digit_sets():
+    # Clustered digits beside far ones: the span dwarfs the least gap.
+    assert_refused(3, [[0, 1, 2, 10**7]])
     rng = random.Random(13)
     for _ in range(100):
         b = rng.randint(2, 6)
         cluster = rng.sample(range(-3 * b, 3 * b), rng.randint(b, 2 * b))
         far = [rng.choice((-1, 1)) * rng.randint(10, 10**3) for _ in range(rng.randint(0, 2))]
-        cases.append((b, [cluster + far]))
+        assert_refused(b, [cluster + far])
+
+
+def test_unspaced_digit_sets_are_refused():
+    # Fewer than b digits but too wide a span, phases of unequal gaps, or phases whose block
+    # digits two digit words reach.
+    cases = [(12, [[0, 10, 121]]), (12, [[0, 33, 66, 99], [0, 1, 2]])]
+    rng = random.Random(13)
     collisions = 0
     while collisions < 20:
         b, r = rng.randint(2, 12), rng.randint(2, 3)
@@ -456,11 +476,7 @@ def test_unspaced_digit_sets_are_refused():
             collisions += 1
             cases.append((b, phases))
     for b, phases in cases:
-        assert not is_spaced(b, phases), (b, phases)
-        with pytest.raises(ValueError, match=r"digit sets must be spaced, span < \(b - 1\) \* least gap"):
-            integer_points(b, *phases)
-        with pytest.raises(ValueError, match="digit sets must be spaced"):
-            build_graph(b, *phases)
+        assert_refused(b, phases)
     with pytest.raises(ValueError, match=r"span 121, least gap 10, b = 12$"):
         integer_points(12, [0, 10, 121])
 
