@@ -13,7 +13,10 @@ signed real amplitude times ``e^(i pi * phase)``, where ``phase`` is the sum
 of the ``(n - 1) r``.  The kernel returns those two real arrays; the
 completeness functional needs only ``amp**2`` and never builds the phase.
 The exact integer machinery elsewhere in the package never goes through here:
-unbounded integers stay in Python, and all certificates stay exact.
+unbounded integers stay in Python, and all certificates stay exact.  This is
+the one module of the package that imports numpy when it loads; the batched
+transform and the Q probes import it when they run, so the exact commands
+never load it.
 """
 
 from __future__ import annotations

@@ -228,6 +228,20 @@ def decide_second_type(inst: ProblemInstance, t1: int, t2: int) -> bool:
     return math.gcd(abs(ratio.numerator), inst.N) == 1 and math.gcd(ratio.denominator, inst.N) == 1
 
 
+def _word_class(pattern: tuple[int, ...]) -> tuple[int, ...]:
+    """Key of the class of words that get ``pattern``'s verdict at every t.
+
+    Negating a word maps its graph by ``z -> -z``.  Rotating it starts the
+    same phase walk one phase later, and a nonzero cycle never passes
+    through 0, whose one edge is ``0 -> 0``.  A power twists the spectrum as
+    its root does.  The key is the least rotation of the primitive root or
+    of its negation.
+    """
+    r = len(pattern)
+    root = next(pattern[:d] for d in range(1, r + 1) if r % d == 0 and pattern[:d] * (r // d) == pattern)
+    return min(w[i:] + w[:i] for w in (root, tuple(-s for s in root)) for i in range(len(root)))
+
+
 def find_sign_word(
     inst: ProblemInstance,
     ts: Sequence[int],
@@ -242,6 +256,10 @@ def find_sign_word(
     is where witnesses tend to live).  ``None`` means not found up to
     period r_max, never nonexistence.  ``node_budget`` bounds each decision
     and also the words tried, counted as each is reached.
+
+    A word's rotations, its negation and its powers share its verdict
+    (:func:`_word_class`), so each class is decided once, at its first
+    word; a later word of a decided class is counted but not decided.
     """
     ts = list(ts)
     if not ts:
@@ -254,12 +272,17 @@ def find_sign_word(
         if math.gcd(abs(t), inst.N) != 1:
             raise ValueError(f"scaling {t} shares a factor with N={inst.N}")
     tried = 0
+    decided: set[tuple[int, ...]] = set()
     for r in range(1, r_max + 1):
         for bits in range(2**r):
             tried += 1
             if tried > node_budget:
                 raise BudgetExceeded("sign words", tried, node_budget)
             omega = SignWord.from_bits(r, bits)
+            key = _word_class(omega.pattern)
+            if key in decided:
+                continue
+            decided.add(key)
             decisions = (decide_scaling_signed(inst, t, omega, node_budget=node_budget) for t in ts)
             if all(d.verdict is Verdict.SPECTRUM for d in decisions):
                 return omega

@@ -13,7 +13,8 @@ run of consecutive exponents in ``(0, *p)`` (:func:`_digit_runs`), since such
 a run of blocks is one interval of digits.  The scalar :func:`mask_value` /
 :func:`fourier_value` keep one block per exponent, so checking one against
 the other compares two decompositions of ``D``, not one code path with
-itself.
+itself.  numpy is imported by the batched functions when they run, never
+when this module loads, so the exact predicates here start without it.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
 
 from .errors import ZeroScaling
 from .instance import ProblemInstance
@@ -119,6 +118,8 @@ def fourier_value(inst: ProblemInstance, xi: float, tol: float = 1e-12) -> compl
 def _fourier_products(inst: ProblemInstance, xs, tol: float) -> tuple[np.ndarray, np.ndarray]:
     if not tol > 0:  # NaN included
         raise ValueError("tol must be positive")
+    import numpy as np
+
     from . import _kernels
 
     _, _, m_scale, max_digit = _numeric_params(inst)
@@ -131,6 +132,8 @@ def _fourier_products(inst: ProblemInstance, xs, tol: float) -> tuple[np.ndarray
 
 def fourier_values(inst: ProblemInstance, xs, tol: float = 1e-12) -> np.ndarray:
     """Vectorized :func:`fourier_value` over a batch of frequencies."""
+    import numpy as np
+
     amp, phase = _fourier_products(inst, xs, tol)
     return amp * np.exp(1j * math.pi * phase)
 

@@ -8,15 +8,15 @@ the truncation level and bounded by 1 (Bessel), and it tends to 1 exactly
 when the family is complete.  Q needs only the modulus of the transform, so
 both the probe and :func:`q_function` read :func:`~speigen.measure.fourier_power`,
 the squared real amplitude of the kernel, and never build its phase.  Q is
-corroboration only; certification always comes from the exact criteria.
+corroboration only; certification always comes from the exact criteria, and
+numpy is imported by the Q functions when they run, not when this module
+loads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .eigen import EigenDecision
 from .instance import ProblemInstance
@@ -73,6 +73,8 @@ def check_orthogonal_set(inst: ProblemInstance, elements: Sequence[int]) -> Vali
 
 def q_function(inst: ProblemInstance, elements: Sequence[int], xi: float, tol: float = 1e-9) -> float:
     """Completeness functional over a finite frequency list at the point xi."""
+    import numpy as np
+
     xs = np.array([float(xi) - float(lam) for lam in elements], dtype=np.float64)
     return float(np.sum(fourier_power(inst, xs, tol=tol)))
 
@@ -100,6 +102,8 @@ def completeness_probe(
     """
     if not grid:
         raise ValueError("grid must be nonempty")
+    import numpy as np
+
     levels = list(range(1, trunc.level + 1))
     position = {lam: i for i, lam in enumerate(trunc.elements)}
     index = {}

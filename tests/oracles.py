@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from speigen import CycleWitness, SpeigenError
+from speigen import CycleWitness, SignWord, SpeigenError, Verdict, decide_scaling_signed
 
 
 class SizeMismatch(SpeigenError):
@@ -89,3 +89,18 @@ def bfs_least_cycle(system):
         digits.append(c)
         nodes.append(v)
     return CycleWitness(nodes=tuple(nodes[:-1]), digits=tuple(digits))
+
+
+def first_sign_word(inst, ts, r_max):
+    """First sign word of period at most r_max making every t a spectrum, or None.
+
+    The brute twin of :func:`speigen.find_sign_word`: the same order of
+    periods and binary patterns, but every word is decided, none is skipped
+    for its class, and no budget applies.
+    """
+    for r in range(1, r_max + 1):
+        for bits in range(2**r):
+            omega = SignWord.from_bits(r, bits)
+            if all(decide_scaling_signed(inst, t, omega).verdict is Verdict.SPECTRUM for t in ts):
+                return omega
+    return None

@@ -1,11 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import speigen
 from speigen import InvalidParameters, eigen
 from speigen.cli import build_parser, execute, main
 
 INST12 = ["--N", "2", "--R", "3", "--q", "2", "--p", "1"]
+INST54 = ["--N", "3", "--R", "2", "--q", "3", "--p", "1"]
 
 
 def run_cli(capsys, argv):
@@ -374,3 +380,62 @@ def test_internal_errors_are_not_reported_as_invalid_input(monkeypatch, capsys):
     monkeypatch.setattr(eigen, "decide_scaling", broken)
     with pytest.raises(ValueError, match="internal bug"):
         main(["decide", *INST12, "--t", "11"])
+
+
+@pytest.mark.parametrize(
+    "argv, budget, skipped",
+    [
+        (["type2", *INST12, "--t", "11/7", "--r-max", "4"], "4", ["signed", *INST12, "--t", "11", "--omega=1,1"]),
+        (["type2", *INST54, "--t", "53/5", "--r-max", "3"], "10", ["signed", *INST54, "--t", "53", "--omega=1,1"]),
+    ],
+)
+def test_type2_skips_the_words_of_decided_classes(capsys, argv, budget, skipped):
+    # The word (1, 1) alone would exceed the budget; its class was decided at (1,), so it is never built.
+    code, _, err = run_cli(capsys, [*skipped, "--node-budget", budget])
+    assert code == 3 and "attractor candidates" in err
+    for tail in ([], ["--json"]):
+        code, default_out, _ = run_cli(capsys, [*argv, *tail])
+        assert code == 0
+        assert run_cli(capsys, [*argv, "--node-budget", budget, *tail]) == (0, default_out, "")
+    assert json.loads(default_out)["sign_word"] == [1, -1]
+
+
+def run_fresh(*args):
+    """A new interpreter with this checkout's package first on its path."""
+    src = str(Path(speigen.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=60)
+
+
+COLD_START = """
+import io, sys
+from contextlib import redirect_stdout
+import speigen.cli
+inst = ["--N", "2", "--R", "3", "--q", "2", "--p", "1"]
+exact = [
+    ["decide", *inst, "--t", "1000003"],
+    ["search", *inst, "--t-from", "-5", "--t-to", "20"],
+    ["signed", *inst, "--t", "11", "--omega=1,-1"],
+    ["type2", *inst, "--t", "11/7", "--r-max", "3"],
+    ["attractor", *inst, "--t", "11", "--omega=1,1,-1"],
+    ["zeroset", *inst, "--t", "36"],
+]
+with redirect_stdout(io.StringIO()):
+    codes = [speigen.cli.main(argv) for argv in exact]
+print(codes, "numpy" in sys.modules)
+with redirect_stdout(io.StringIO()):
+    code = speigen.cli.main(["validate", *inst, "--t", "11"])
+print(code, "numpy" in sys.modules)
+"""
+
+
+def test_exact_commands_never_load_numpy():
+    proc = run_fresh("-c", COLD_START)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[0, 0, 0, 0, 0, 0] False", "0 True"]
+
+
+def test_the_module_entry_point_answers_as_main_does(capsys):
+    argv = ["decide", *INST12, "--t", "1000003", "--json"]
+    proc = run_fresh("-m", "speigen", *argv)
+    assert (proc.returncode, proc.stdout) == run_cli(capsys, argv)[:2]

@@ -1,4 +1,5 @@
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -26,6 +27,7 @@ from speigen import (
 )
 
 from conftest import instance_family
+from oracles import first_sign_word
 
 
 def word_based_decision(inst, t):
@@ -386,3 +388,100 @@ def test_find_sign_word_graph_sizes_stay_exact(inst12):
     graph = build_graph(144, blocks)
     decision = decide_scaling_signed(inst12, 11, SignWord((1, -1)))
     assert decision.integer_point_count == len(graph.nodes)
+
+
+def sign_class(pattern, length=840):
+    """Least shift of the infinite word or of its negation, over ``length`` terms.
+
+    Two periodic words of period at most 8 are equal as sequences exactly
+    when they agree on ``lcm(1..8) = 840`` terms, so this keys a word's class
+    without its primitive root.
+    """
+    r = len(pattern)
+    return min(tuple(sign * pattern[(i + s) % r] for i in range(length)) for s in range(r) for sign in (1, -1))
+
+
+def test_sign_word_classes_are_rotations_negations_and_powers():
+    words = [SignWord.from_bits(r, bits).pattern for r in range(1, 7) for bits in range(2**r)]
+    keys = {w: eigen._word_class(w) for w in words}
+    classes = {w: sign_class(w) for w in words}
+    for a in words:
+        for b in words:
+            assert (keys[a] == keys[b]) == (classes[a] == classes[b]), (a, b)
+    for r_max, count in ((4, 5), (10, 117)):
+        patterns = (SignWord.from_bits(r, bits).pattern for r in range(1, r_max + 1) for bits in range(2**r))
+        assert len({eigen._word_class(w) for w in patterns}) == count
+
+
+def test_find_sign_word_matches_the_every_word_oracle():
+    # Searches whose plain word fails, so that later words and skipped classes matter.
+    rng = random.Random(18)
+    family = instance_family(m_limit=130)
+    found = Counter()
+    while sum(found.values()) < 60:
+        inst = rng.choice(family)
+        ts = [rng.randrange(1, 400) for _ in range(rng.choice((1, 2, 3)))]
+        if any(math.gcd(t, inst.N) != 1 for t in ts) or all(decide_scaling(inst, t).verdict is Verdict.SPECTRUM for t in ts):
+            continue
+        word = find_sign_word(inst, ts, 4)
+        assert word == first_sign_word(inst, ts, 4), (inst.describe(), ts)
+        found[word.pattern] += 1
+    assert found == {(1, -1): 50, (1, 1, -1): 10}
+
+
+def test_find_sign_word_decides_each_class_once(monkeypatch, inst12, inst120):
+    seen = Counter()
+    real = eigen.decide_scaling_signed
+
+    def counted(inst, t, omega, **kwargs):
+        seen[t, sign_class(omega.pattern)] += 1
+        return real(inst, t, omega, **kwargs)
+
+    monkeypatch.setattr(eigen, "decide_scaling_signed", counted)
+    for inst, ts, r_max in ((inst12, [11], 8), (inst12, [11, 3], 4), (inst120, [119, 7], 4), (inst12, [11, 7], 4)):
+        seen.clear()
+        assert find_sign_word(inst, ts, r_max) == first_sign_word(inst, ts, r_max)
+        assert seen and max(seen.values()) == 1
+
+    # With every decision refuted, all 62 words of period at most 5 are reached and only their 8 classes decided.
+    refuted = eigen.EigenDecision(t=1, verdict=Verdict.NOT_SPECTRUM, reason=Reason.CYCLE_FOUND)
+    seen.clear()
+
+    def refute(inst, t, omega, **kwargs):
+        seen[sign_class(omega.pattern)] += 1
+        return refuted
+
+    monkeypatch.setattr(eigen, "decide_scaling_signed", refute)
+    assert find_sign_word(inst12, [1], 5, node_budget=62) is None
+    assert len(seen) == 8 and max(seen.values()) == 1
+
+
+# --------------------------------------------------------------------------
+# Divisor inheritance
+# --------------------------------------------------------------------------
+
+# The five least d = (12**m - 1) / gcd(W, 12**m - 1) that nonzero words W of length m <= 9 give:
+# each is NotSpectrum, and none of its proper divisors is.
+PRIMITIVE_DENOMINATORS_12 = (11, 1885, 2041, 4943, 22621)
+
+
+def test_scaled_witnesses_of_a_divisor_are_cycles_of_the_multiple(inst12):
+    # A cycle of T(12, dL) times u is a cycle of T(12, duL): checked by arithmetic alone, up to t ~ 10**18.
+    rng = random.Random(6)
+    for d in PRIMITIVE_DENOMINATORS_12:
+        witness = decide_scaling(inst12, d).cycle
+        assert witness.verify(12)
+        for u in [1, 2, 10**12 + 39] + [rng.randrange(1, 10**18 // d) for _ in range(20)]:
+            t = d * u
+            scaled = attractor.CycleWitness(nodes=tuple(u * z for z in witness.nodes), digits=tuple(u * c for c in witness.digits))
+            assert scaled.verify(12), (d, u)
+            assert all(c % t == 0 and c // t in inst12.L for c in scaled.digits), (d, u)
+
+
+def test_multiples_of_a_primitive_denominator_are_not_spectra(inst12):
+    rng = random.Random(6)
+    for d in (1885, 4943, 22621):
+        u = rng.randrange(10**4, 10**10 // d) | 1  # odd, so t stays coprime to N = 2
+        decision = decide_scaling(inst12, d * u)
+        assert decision.verdict is Verdict.NOT_SPECTRUM and decision.reason is Reason.CYCLE_FOUND
+        assert decision.cycle.verify(12)
