@@ -38,7 +38,6 @@ from .measure import (
     fourier_value,
     fourier_values,
     hadamard_check_exact,
-    mask_value,
     nadic_split,
     zero_set_contains,
     zero_set_decompose,
@@ -85,7 +84,6 @@ __all__ = [
     "from_descriptor",
     "hadamard_check_exact",
     "integer_points",
-    "mask_value",
     "nadic_split",
     "q_function",
     "search_eigenvalues",

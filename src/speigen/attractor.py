@@ -179,7 +179,7 @@ def _covered_ranges(
     intervals: Sequence[tuple[int, int]],
     levels: int,
 ) -> list[tuple[int, int]]:
-    """Disjoint sorted ranges of the phase-0 integers that word sums of ``levels`` digits cover.
+    """Disjoint nonempty ranges of the phase-0 integers that word sums of ``levels`` digits cover.
 
     A word sum w of j digits, one from each of the phases 0, 1, ...,
     covers the integers z of phase 0's interval with ``b**j * z - w`` in the
@@ -187,6 +187,13 @@ def _covered_ranges(
     window that keeps such z inside phase 0's interval, and keeps a sum iff
     it still covers an integer: inside that window, iff the next interval
     shifted by ``b*w + c`` holds a multiple of ``b**(j+1)``.
+
+    Spacing makes the ranges disjoint.  Two sums of j digits that first
+    differ at digit i differ by at least ``g * b**i``, g the least gap, and
+    their lower digits by at most ``span * (b**i - 1) / (b - 1)``, less than
+    ``g * (b**i - 1)``; so the sums are more than g apart, while each covers
+    a real interval narrower than ``g / b**j``.  A kept sum's interval holds
+    an integer and meets phase 0's interval, so its range is never empty.
     """
     r = len(phases)
     lo, hi = intervals[0]
@@ -203,14 +210,7 @@ def _covered_ranges(
                     refined.add(bw + c)
         words = refined
     lo_q, hi_q = intervals[levels % r]
-    ranges: list[tuple[int, int]] = []
-    for w in sorted(words):  # ranges start in the order of their word sums
-        first, last = max(lo, -((-(lo_q + w)) // scale)), min(hi, (hi_q + w) // scale)
-        if ranges and first <= ranges[-1][1] + 1:
-            ranges[-1] = (ranges[-1][0], max(last, ranges[-1][1]))
-        else:
-            ranges.append((first, last))
-    return ranges
+    return [(max(lo, -((-(lo_q + w)) // scale)), min(hi, (hi_q + w) // scale)) for w in words]
 
 
 def _end_residues(b: int, phases: Sequence[Sequence[int]], levels: int) -> list[int]:

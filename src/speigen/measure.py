@@ -10,11 +10,11 @@ corroboration only.
 The transform is evaluated two ways.  The batched :func:`fourier_values` /
 :func:`fourier_power` hand :mod:`._kernels` one Dirichlet block per maximal
 run of consecutive exponents in ``(0, *p)`` (:func:`_digit_runs`), since such
-a run of blocks is one interval of digits.  The scalar :func:`mask_value` /
-:func:`fourier_value` keep one block per exponent, so checking one against
-the other compares two decompositions of ``D``, not one code path with
-itself.  numpy is imported by the batched functions when they run, never
-when this module loads, so the exact predicates here start without it.
+a run of blocks is one interval of digits.  The scalar :func:`fourier_value`
+keeps one block per exponent, so checking one against the other compares
+two decompositions of ``D``, not one code path with itself.  numpy is
+imported by the batched functions when they run, never when this module
+loads, so the exact predicates here start without it.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ def _float_exact(n: int, what: str) -> float:
 def _numeric_params(inst: ProblemInstance) -> tuple[int, tuple[float, ...], float, float]:
     """(N, block scales N**p_j, float M, float max(D)) for the numeric kernels.
 
-    The scales are Python floats: the scalar loops below multiply by them
-    block by block, and numpy scalars would triple their cost.
+    The scales are Python floats: the scalar loop of :func:`fourier_value`
+    multiplies by them block by block, and numpy scalars would triple its cost.
     """
     scales = tuple(_float_exact(inst.N**pj, "digit block scale N**p_j") for pj in (0, *inst.p))
     return inst.N, scales, _float_exact(inst.M, "M"), _float_exact(inst.D[-1], "max(D)")
@@ -74,21 +74,6 @@ def _digit_factor(y: float, n_base: int) -> complex:
     den = n_base * math.sin(math.pi * r)
     phase = math.pi * (n_base - 1) * r
     return complex(math.cos(phase), math.sin(phase)) * (num / den)
-
-
-def mask_value(inst: ProblemInstance, x: float) -> complex:
-    """Normalized exponential sum of D at x, computed block by block.
-
-    Equals the direct sum ``(1/#D) * sum_{d in D} e^(2 pi i d x)`` because D
-    splits into independent digit blocks; the product form costs ``s + 1``
-    geometric sums instead of ``#D`` exponentials.
-    """
-    n_base, scales, _, _ = _numeric_params(inst)
-    x = float(x)
-    acc = 1.0 + 0.0j
-    for scale in scales:
-        acc *= _digit_factor(x * scale, n_base)
-    return acc
 
 
 def fourier_value(inst: ProblemInstance, xi: float, tol: float = 1e-12) -> complex:

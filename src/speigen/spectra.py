@@ -53,7 +53,6 @@ class SignWord:
 
 @dataclass(frozen=True)
 class SpectrumTruncation:
-    instance: ProblemInstance
     t: int
     omega: Optional[SignWord]
     level: int
@@ -89,4 +88,4 @@ def spectrum_level(
     if len(set(sums)) != expected:
         raise AssertionError("digit expansion collision: truncation is not injective")
     elements = tuple(sorted(t * x for x in sums))
-    return SpectrumTruncation(instance=inst, t=t, omega=omega, level=k, elements=elements)
+    return SpectrumTruncation(t=t, omega=omega, level=k, elements=elements)

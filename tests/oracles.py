@@ -3,6 +3,7 @@
 The tests import these as oracles for the exact routines in ``speigen``.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -12,6 +13,11 @@ from speigen import CycleWitness, SignWord, SpeigenError, Verdict, decide_scalin
 
 class SizeMismatch(SpeigenError):
     """Digit sets of a candidate Hadamard pair differ in cardinality."""
+
+
+def mask_direct_sum(inst, x) -> complex:
+    """The mask m_D at x as the literal normalized sum over all digits of D, with no blocks."""
+    return sum(cmath.exp(2j * math.pi * d * x) for d in inst.D) / len(inst.D)
 
 
 def hadamard_check_numeric(b: int, Dset, Cset, tol: float = 1e-9) -> bool:

@@ -568,6 +568,9 @@ def test_cycle_witness_verify_rejects_broken_witnesses():
     assert not CycleWitness(nodes=(3,), digits=(34,)).verify(12)
     assert not CycleWitness(nodes=(0,), digits=(0,)).verify(12)  # a zero node
     assert not CycleWitness(nodes=(3,), digits=(33,)).verify(10)  # the wrong base
+    for nodes, digits in (((3,), (33, 0)), ((), ())):
+        with pytest.raises(ValueError, match="equally many nodes and digits"):
+            CycleWitness(nodes=nodes, digits=digits)
 
 
 def test_cycle_witness_is_minimal():
@@ -673,11 +676,17 @@ def test_word_examples():
     assert word_witness_search(12, [0, 33, 66, 99], 1) == (1, (33,))
     assert word_witness_search(12, [0, 15, 30, 45], 1) is None
     assert word_witness_search(12, [0, 3, 6, 9], 3) is None
+    assert word_witness_search(12, [], 3) is None
 
 
 def test_word_budget():
     with pytest.raises(BudgetExceeded):
         word_witness_search(12, [0, 3, 6, 9], 3, word_budget=10)
+    # (3, 7) is word 6 of length 2, in the second and last head that a budget of 10 builds,
+    # so the head scan stops at it; one more word of budget finds it.
+    outcomes = [_word_outcome(dfs_word_witness_search, 3, [0, 3, 7, 9], 2, budget) for budget in (10, 11)]
+    assert outcomes == [_word_outcome(word_witness_search, 3, [0, 3, 7, 9], 2, budget) for budget in (10, 11)]
+    assert outcomes == ["word enumeration: needs 11, budget is 10", (2, (3, 7))]
 
 
 def test_word_validation():

@@ -148,6 +148,8 @@ def test_zeroset_command(capsys):
     assert report["member"] is True and report["decomposition"]["k"] == 0
     code, out, _ = run_cli(capsys, ["zeroset", *INST12, "--t", "1/2", "--json"])
     assert json.loads(out)["member"] is False
+    code, out, _ = run_cli(capsys, ["zeroset", "--N", "2", "--R", "3", "--q", "4", "--p", "3", "--t", "6", "--json"])
+    assert code == 0 and json.loads(out)["member"] is False
 
 
 def test_validate_command(capsys):

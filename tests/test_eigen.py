@@ -88,6 +88,8 @@ def test_decide_rejects_zero_and_floats(inst12):
         decide_scaling(inst12, 0)
     with pytest.raises(TypeError):
         decide_scaling(inst12, 1.5)
+    with pytest.raises(TypeError):
+        decide_scaling(inst12, True)
 
 
 def test_decide_sign_symmetric(inst12, inst48):
@@ -136,6 +138,8 @@ def test_signed_gcd_gate(inst12):
     assert decision.reason is Reason.SHARES_FACTOR_WITH_N
     with pytest.raises(ZeroScaling):
         decide_scaling_signed(inst12, 0, SignWord((1,)))
+    with pytest.raises(TypeError):
+        decide_scaling_signed(inst12, Fraction(11), SignWord((1, -1)))
 
 
 @pytest.mark.parametrize(

@@ -42,6 +42,9 @@ def test_all_violations_reported_at_once():
         build_instance(1, 1, 0, [2, 1])
     codes = set(err.value.codes)
     assert {"N<2", "R<2", "q<1", "p_order"} <= codes
+    with pytest.raises(InvalidParameters) as err:
+        build_instance("2", 3, 2, [1])
+    assert err.value.codes == ["N_type"]
 
 
 @pytest.mark.parametrize(
@@ -137,6 +140,10 @@ def test_descriptor_errors():
     with pytest.raises(InvalidParameters) as err:
         from_descriptor("[2, 3, 2]")
     assert err.value.codes == ["descriptor"] and "must be a JSON object" in str(err.value)
+    for bad in (True, 2.0):
+        with pytest.raises(InvalidParameters) as err:
+            from_descriptor({"N": bad, "R": 3, "q": 2, "p": [1]})
+        assert err.value.codes == ["N_type"]
 
 
 @settings(max_examples=60, deadline=None)

@@ -3,9 +3,11 @@ import math
 import numpy as np
 from mpmath import mp, mpf
 
-from speigen import _kernels, build_instance, fourier_power, fourier_value, fourier_values, mask_value, spectrum_level
+from speigen import _kernels, build_instance, fourier_power, fourier_value, fourier_values, spectrum_level
 from speigen.measure import _digit_runs, _numeric_params
 from speigen.validate import PROBE_BATCH
+
+from oracles import mask_direct_sum
 
 # The four instances the validate-probe benchmark draws from (M = 12, 48, 54, 120).
 PROBE_INSTANCES = ((2, 3, 2, (1,)), (2, 3, 4, (3,)), (3, 2, 3, (1,)), (2, 15, 3, (1, 2)))
@@ -17,19 +19,21 @@ EPS = np.finfo(float).eps
 def test_scalar_matches_batch(inst12, inst48):
     rng = np.random.default_rng(2024)
     for inst in (inst12, inst48):
-        xs = rng.uniform(-500, 500, size=64)
+        # Multiples of M give blocks at integer arguments, whose factor is exactly 1.
+        xs = np.concatenate([rng.uniform(-500, 500, size=64), [inst.M, -(inst.M**2), 7.0 * inst.M**3]])
         batch = fourier_values(inst, xs, tol=1e-12)
         scalar = np.array([fourier_value(inst, float(x), 1e-12) for x in xs])
         assert np.max(np.abs(batch - scalar)) <= 5e-12
 
 
 def test_mask_lanes_agree(inst120):
+    # One block per exponent and one per run of exponents, each against the literal sum over D.
     n_base, scales, _, _ = _numeric_params(inst120)
     xs = np.linspace(-3.3, 3.3, 257)
-    amp, turns = _kernels.mask_factors(xs, scales, n_base)
-    batch = amp * np.exp(1j * math.pi * (n_base - 1) * turns)
-    scalar = np.array([mask_value(inst120, float(x)) for x in xs])
-    assert np.max(np.abs(batch - scalar)) <= 1e-13
+    direct = np.array([mask_direct_sum(inst120, float(x)) for x in xs])
+    for blocks in ((scales, n_base), _digit_runs(inst120)):
+        amp, phase = _kernels.mask_factors(xs, *blocks)
+        assert np.max(np.abs(amp * np.exp(1j * math.pi * phase) - direct)) <= 1e-13
 
 
 def test_mask_amplitude_stays_accurate_for_large_n():

@@ -1,22 +1,22 @@
-import cmath
 import math
 import random
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from speigen import (
     ZeroScaling,
+    _kernels,
     completeness_probe,
     fourier_power,
     fourier_value,
     fourier_values,
     hadamard_check_exact,
-    mask_value,
     nadic_split,
     q_function,
     spectrum_level,
@@ -24,12 +24,15 @@ from speigen import (
     zero_set_decompose,
 )
 
-from oracles import SizeMismatch, hadamard_check_numeric
+from speigen.measure import _digit_runs
+
+from oracles import SizeMismatch, hadamard_check_numeric, mask_direct_sum
 
 
-def mask_direct_sum(inst, x):
-    """Independent oracle: literal normalized sum over all digits of D."""
-    return sum(cmath.exp(2j * math.pi * d * x) for d in inst.D) / len(inst.D)
+def mask_runs(inst, x):
+    """m_D at x from the kernel's blocks, one per run of consecutive exponents."""
+    amp, phase = _kernels.mask_factors(x, *_digit_runs(inst))
+    return amp * np.exp(1j * math.pi * phase)
 
 
 # --------------------------------------------------------------------------
@@ -37,16 +40,16 @@ def mask_direct_sum(inst, x):
 # --------------------------------------------------------------------------
 
 def test_mask_at_zero_is_one(inst12):
-    assert mask_value(inst12, 0.0) == 1.0 + 0.0j
+    assert mask_runs(inst12, 0.0) == 1.0 + 0.0j
 
 
 def test_mask_quarter_vanishes(inst12):
-    assert abs(mask_value(inst12, 0.25)) <= 1e-12
+    assert abs(mask_runs(inst12, 0.25)) <= 1e-12
 
 
 def test_mask_third_is_quarter(inst12):
     # (1 + w + w^2 + 1) / 4 with w a primitive cube root of unity.
-    value = mask_value(inst12, 1 / 3)
+    value = mask_runs(inst12, 1 / 3)
     assert abs(value - 0.25) <= 1e-12
 
 
@@ -55,14 +58,14 @@ def test_mask_product_matches_direct_sum(inst12, inst48, inst120):
     for inst in (inst12, inst48, inst120):
         for _ in range(100):
             x = rng.random()
-            assert abs(mask_value(inst, x) - mask_direct_sum(inst, x)) <= 1e-12
+            assert abs(mask_runs(inst, x) - mask_direct_sum(inst, x)) <= 1e-12
 
 
 def test_mask_bounded(inst120):
     rng = random.Random(7)
     for _ in range(200):
         x = rng.uniform(-50, 50)
-        assert abs(mask_value(inst120, x)) <= 1 + 1e-12
+        assert abs(mask_runs(inst120, x)) <= 1 + 1e-12
 
 
 # --------------------------------------------------------------------------
@@ -149,11 +152,14 @@ def test_zero_set_examples(inst12, inst48):
     assert not zero_set_contains(inst12, Fraction(1, 2))
     w48 = zero_set_decompose(inst48, 120)
     assert w48 is not None and (w48.k, inst48.exponents[w48.j], w48.l) == (0, 3, 5)
+    assert zero_set_decompose(inst48, 6) is None  # valuation 1 is no block exponent of (3, 0)
 
 
 def test_zero_set_rejects_floats_and_zero(inst12):
     with pytest.raises(TypeError):
         zero_set_contains(inst12, 0.5)
+    with pytest.raises(TypeError):
+        zero_set_contains(inst12, True)
     assert not zero_set_contains(inst12, 0)
 
 
@@ -186,7 +192,7 @@ def test_members_kill_a_mask_factor(inst12, inst48, inst120):
             xi = inst.c * inst.M**k * inst.N ** inst.exponents[j] * l
             witness = zero_set_decompose(inst, xi)
             assert witness is not None and witness.k == k
-            assert abs(mask_value(inst, xi / inst.M ** (k + 1))) < 1e-9
+            assert abs(mask_runs(inst, xi / inst.M ** (k + 1))) < 1e-9
 
 
 def test_non_members_keep_factors_large(inst12):
@@ -198,7 +204,7 @@ def test_non_members_keep_factors_large(inst12):
             continue
         checked += 1
         for k in range(1, 7):
-            assert abs(mask_value(inst12, xi / inst12.M**k)) > 1e-6
+            assert abs(mask_runs(inst12, xi / inst12.M**k)) > 1e-6
     assert checked >= 50
 
 

@@ -101,5 +101,7 @@ def test_sign_word_validation():
     assert SignWord.from_bits(2, 0).pattern == (1, 1)
     assert SignWord.from_bits(2, 1).pattern == (1, -1)
     assert SignWord.from_bits(2, 3).pattern == (-1, -1)
+    with pytest.raises(ValueError):
+        SignWord.from_bits(2, 4)
     word = SignWord((1, -1))
     assert [word.sign_at(j) for j in range(1, 6)] == [1, -1, 1, -1, 1]

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from speigen import (
+    EigenDecision,
+    Reason,
     SignWord,
     SpectrumTruncation,
     Verdict,
@@ -106,7 +108,7 @@ def test_bessel_bound_on_orthogonal_family(inst12):
         assert q_function(inst12, elements, xi, tol=1e-12) <= 1.0 + 1e-9
 
 
-def test_probe_monotone_and_bounded(inst12):
+def test_probe_monotone_and_bounded(inst12, monkeypatch):
     trunc = spectrum_level(inst12, 1, 4)
     grid = [i / 10 for i in range(10)]
     report = completeness_probe(inst12, trunc, grid, tol=1e-9)
@@ -118,6 +120,10 @@ def test_probe_monotone_and_bounded(inst12):
         values = [v for _, v in sorted(pairs)]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
         assert all(v <= 1 + 1e-9 for v in values)
+    # Only a faulty transform makes Q go down across nested levels; the probe reports it.
+    monkeypatch.setattr(validate, "fourier_power", lambda inst, xs, tol: -np.ones(len(xs)))
+    report = completeness_probe(inst12, spectrum_level(inst12, 1, 2), [0.0], tol=1e-9)
+    assert report.violations == ("Q_2(0.0) = -16.0 decreased below Q_1(0.0) = -4.0",)
 
 
 def test_probe_constant_one_at_zero(inst12):
@@ -133,6 +139,11 @@ def test_probe_confirms_missing_frequency(inst12):
     assert report.missing_frequency_check == (-3, True)
     assert all(value <= 1e-12 for _, _, value in report.q_samples)
     assert report.violations == ()
+    # A frequency that is not orthogonal to the truncation is reported, not raised.
+    forged = EigenDecision(t=11, verdict=Verdict.NOT_SPECTRUM, reason=Reason.CYCLE_FOUND, missing_frequency=1)
+    report = completeness_probe(inst12, trunc, [-3.0], tol=1e-9, decision=forged)
+    assert report.missing_frequency_check == (1, False)
+    assert report.violations == ("missing frequency 1 fails exact orthogonality against the truncation",)
 
 
 def test_probe_requires_grid(inst12):
@@ -271,6 +282,6 @@ def test_grid_rows_span_several_kernel_calls(inst12, monkeypatch):
 
 def test_probe_refuses_levels_outside_the_truncation(inst12):
     full = spectrum_level(inst12, 1, 2).elements
-    trunc = SpectrumTruncation(instance=inst12, t=1, omega=None, level=2, elements=full[1:])
+    trunc = SpectrumTruncation(t=1, omega=None, level=2, elements=full[1:])
     with pytest.raises(ValueError, match="level-1 element 0 is not in the level-2 truncation"):
         completeness_probe(inst12, trunc, [0.0], tol=1e-9)
