@@ -250,18 +250,25 @@ def _validate(inst, t, omega, node_budget, tol):
     decision = None
     if omega is None:
         decision = eigen.decide_scaling(inst, t, node_budget=node_budget)
-    orth_level = spectra.spectrum_level(inst, t, 2, omega)
-    orthogonality = validate.check_orthogonal_set(inst, orth_level.elements)
-    # The Q probe needs M, max(D) and N**p_j exact in float64; without them
-    # the exact parts are still answered and the probe is reported unavailable.
+    # The Q probe needs M, max(D) and N**p_j exact in float64 and every
+    # level-3 element finite there.  Without them the exact parts are still
+    # answered, from level 2 alone when M, max(D) or N**p_j is too large, and
+    # the probe is reported unavailable.
+    probe = None
     try:
         measure._numeric_params(inst)
     except ValueError as exc:
-        probe, unavailable = None, str(exc)
+        trunc, unavailable = spectra.spectrum_level(inst, t, 2, omega), str(exc)
     else:
-        probe_level = spectra.spectrum_level(inst, t, 3, omega)
-        grid = validate.default_grid(decision)
-        probe = validate.completeness_probe(inst, probe_level, grid, tol=tol, decision=decision)
+        trunc = spectra.spectrum_level(inst, t, 3, omega)
+        try:
+            float(max(trunc.elements, key=abs))
+        except OverflowError:
+            unavailable = f"a level-3 element of {max(map(abs, trunc.elements)).bit_length()} bits exceeds float64 range"
+        else:
+            grid = validate.default_grid(decision)
+            probe = validate.completeness_probe(inst, trunc, grid, tol=tol, decision=decision)
+    orthogonality = validate.check_orthogonal_set(inst, trunc.elements[spectra.level_window(inst, trunc, 2)])
 
     report = {
         "t": str(t),
@@ -281,9 +288,9 @@ def _validate(inst, t, omega, node_budget, tol):
     if probe is None:
         lines.append(f"Q probe: unavailable (float_range: {unavailable})")
         return report, lines
-    terminal = [s for s in probe.q_samples if s[1] == probe_level.level]
+    terminal = [s for s in probe.q_samples if s[1] == trunc.level]
     lines.append(
-        f"Q at level {probe_level.level}: min {min(s[2] for s in terminal):.9f}, "
+        f"Q at level {trunc.level}: min {min(s[2] for s in terminal):.9f}, "
         f"max {max(s[2] for s in terminal):.9f} over {len(grid)} grid points"
     )
     if probe.missing_frequency_check is not None:

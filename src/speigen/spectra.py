@@ -5,10 +5,19 @@ digit choices ``l_j in L``, where ``w`` is an optional periodic sign word
 (all ones when absent).  Digit expansions in base M are unique, so every
 truncation has exactly ``(#L)**k`` elements; the enumeration asserts this
 rather than assuming it.
+
+The levels nest by magnitude.  Every level-k element has
+``|lambda| <= |t| (M - c)(M**k - 1)/(M - 1) < |t| M**k``, since
+``max L <= M - c``.  An element whose highest nonzero digit sits at position
+``J > k`` has ``|lambda| >= |t| ((c - 1) M**(J-1) + 1) > |t| M**k``, since
+every nonzero digit is at least ``c >= 2``.  So level k is the open
+magnitude window ``|lambda| < |t| M**k`` of any deeper truncation, for every
+sign word and either sign of t (:func:`level_window`).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
@@ -89,3 +98,16 @@ def spectrum_level(
         raise AssertionError("digit expansion collision: truncation is not injective")
     elements = tuple(sorted(t * x for x in sums))
     return SpectrumTruncation(t=t, omega=omega, level=k, elements=elements)
+
+
+def level_window(inst: ProblemInstance, trunc: SpectrumTruncation, k: int) -> slice:
+    """Positions of the level-k elements in a truncation of level at least k.
+
+    They are the sorted elements strictly between ``-|t| M**k`` and
+    ``|t| M**k``; a window that does not hold ``(#L)**k`` of them is refused.
+    """
+    bound = abs(trunc.t) * inst.M**k
+    start, stop = bisect_right(trunc.elements, -bound), bisect_left(trunc.elements, bound)
+    if stop - start != len(inst.L) ** k:
+        raise ValueError(f"the level-{k} window holds {stop - start} elements, not {len(inst.L) ** k}: levels not nested")
+    return slice(start, stop)

@@ -5,9 +5,12 @@ orthogonal set lie in the zero set of the transform.  The numeric side
 evaluates the completeness functional ``Q(xi) = sum_l |mu_hat(xi - l)|**2``
 over nested truncations: for an orthonormal family it is nondecreasing in
 the truncation level and bounded by 1 (Bessel), and it tends to 1 exactly
-when the family is complete.  Q needs only the modulus of the transform, so
-both the probe and :func:`q_function` read :func:`~speigen.measure.fourier_power`,
-the squared real amplitude of the kernel, and never build its phase.  Q is
+when the family is complete.  The probe is handed one truncation and reads
+every lower level as a magnitude window of it
+(:func:`~speigen.spectra.level_window`), so no level is enumerated again.
+Q needs only the modulus of the transform, so both the probe and
+:func:`q_function` read :func:`~speigen.measure.fourier_power`, the squared
+real amplitude of the kernel, and never build its phase.  Q is
 corroboration only; certification always comes from the exact criteria, and
 numpy is imported by the Q functions when they run, not when this module
 loads.
@@ -22,7 +25,8 @@ from .eigen import EigenDecision
 from .instance import ProblemInstance
 from .measure import fourier_power, zero_set_contains
 from .measure import fourier_values  # noqa: F401  (bound here for perfbench/tracing.py's patch table)
-from .spectra import SpectrumTruncation, spectrum_level
+from .spectra import SpectrumTruncation, level_window
+from .spectra import spectrum_level  # noqa: F401  (bound here for perfbench/tracing.py's patch table)
 
 DEFAULT_GRID_SIZE = 25
 PROBE_BATCH = 4096  # frequencies per fourier_power call in completeness_probe
@@ -64,11 +68,8 @@ def check_orthogonal_set(inst: ProblemInstance, elements: Sequence[int]) -> Vali
     bad = {d for d in diffs if not zero_set_contains(inst, d)}
     if not bad:
         return ValidationReport(orthogonal=True)
-    for i, a in enumerate(ordered):
-        for b in ordered[i + 1 :]:
-            if b - a in bad:
-                return ValidationReport(orthogonal=False, failing_pair=(a, b))
-    raise AssertionError("failing difference without failing pair")
+    pair = next((a, b) for i, a in enumerate(ordered) for b in ordered[i + 1 :] if b - a in bad)
+    return ValidationReport(orthogonal=False, failing_pair=pair)
 
 
 def q_function(inst: ProblemInstance, elements: Sequence[int], xi: float, tol: float = 1e-9) -> float:
@@ -92,30 +93,20 @@ def completeness_probe(
     associated decision carries a missing frequency, its Q is additionally
     confirmed to vanish exactly, term by term, through zero-set membership.
 
-    Every level below the truncation's must be contained in
-    ``trunc.elements``; this holds for every :func:`spectrum_level`
-    truncation because ``0`` is a digit of ``L``.  The transform is then
-    evaluated once, at ``xi - lambda`` for every grid point and element of
-    the truncation, in calls of at most :data:`PROBE_BATCH` frequencies
-    (one grid row at least), and each ``Q_k(xi)`` sums the level-k part of
-    that row in the order :func:`q_function` sums it.
+    Level k is the window :func:`~speigen.spectra.level_window` of the
+    sorted ``trunc.elements``, as it is for every :func:`spectrum_level`
+    truncation; a window that does not hold ``(#L)**k`` elements raises
+    ``ValueError``.  The transform is evaluated once, at ``xi - lambda``
+    for every grid point and element of the truncation, in calls of at most
+    :data:`PROBE_BATCH` frequencies (one grid row at least), and each
+    ``Q_k(xi)`` sums the level-k window of that row, the elements in the
+    order :func:`q_function` sums them.
     """
     if not grid:
         raise ValueError("grid must be nonempty")
     import numpy as np
 
-    levels = list(range(1, trunc.level + 1))
-    position = {lam: i for i, lam in enumerate(trunc.elements)}
-    index = {}
-    for k in levels:
-        elements = spectrum_level(inst, trunc.t, k, trunc.omega).elements
-        outside = [lam for lam in elements if lam not in position]
-        if outside:
-            raise ValueError(
-                f"level-{k} element {outside[0]} is not in the level-{trunc.level} truncation; "
-                "the probe needs nested levels"
-            )
-        index[k] = np.array([position[lam] for lam in elements], dtype=np.intp)
+    windows = {k: level_window(inst, trunc, k) for k in range(1, trunc.level + 1)}
     lams = np.array([float(lam) for lam in trunc.elements], dtype=np.float64)
     rows = max(1, PROBE_BATCH // len(lams))
     samples: list[tuple[float, int, float]] = []
@@ -126,8 +117,8 @@ def completeness_probe(
         power = fourier_power(inst, xs.ravel(), tol=tol).reshape(xs.shape)
         for xi, row in zip(chunk, power):
             previous = None
-            for k in levels:
-                value = float(np.sum(row[index[k]]))
+            for k, window in windows.items():
+                value = float(np.sum(row[window]))
                 samples.append((float(xi), k, value))
                 if value > 1.0 + tol:
                     violations.append(f"Q_{k}({xi}) = {value} exceeds Bessel bound 1 + {tol}")

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import speigen
-from speigen import InvalidParameters, eigen
+from speigen import InvalidParameters, eigen, spectra, validate
 from speigen.cli import build_parser, execute, main
 
 INST12 = ["--N", "2", "--R", "3", "--q", "2", "--p", "1"]
@@ -373,6 +373,42 @@ def test_validate_beyond_float_range_reports_the_probe_unavailable(capsys):
         lines = out.splitlines()
         assert "level-2 orthogonality: exact" in lines
         assert lines[-1] == f"Q probe: unavailable (float_range: {probe['message']})"
+    # M is exact in float64, but t = 10**321 + 1 puts the level-3 elements beyond its largest value.
+    argv = ["validate", *INST12, "--t", "1" + "0" * 320 + "1", "--omega=1,-1"]
+    message = "a level-3 element of 1077 bits exceeds float64 range"
+    code, out, _ = run_cli(capsys, [*argv, "--json"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["orthogonality"] == {"orthogonal": True, "q_samples": [], "violations": []}
+    assert report["probe"] == {"available": False, "reason": "float_range", "message": message}
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert out.splitlines()[-2:] == ["level-2 orthogonality: exact", f"Q probe: unavailable (float_range: {message})"]
+
+
+def test_validate_enumerates_one_truncation(monkeypatch, capsys):
+    # Level 2 is a window of level 3, and the probe reads every level from the truncation it is given.
+    enumerate_level, levels = spectra.spectrum_level, []
+
+    def counted(inst, t, k, omega=None):
+        levels.append(k)
+        return enumerate_level(inst, t, k, omega)
+
+    monkeypatch.setattr(spectra, "spectrum_level", counted)
+    monkeypatch.setattr(validate, "spectrum_level", counted)
+    for flags, expected in (
+        ([*INST12, "--t", "11"], [3]),
+        ([*INST12, "--t=-11", "--omega=1,1,-1"], [3]),
+        (["--N", "2", "--R", "3", "--q", "60", "--p", "1", "--t", "1"], [2]),
+    ):
+        levels.clear()
+        assert run_cli(capsys, ["validate", *flags, "--json"])[0] == 0
+        assert levels == expected, flags
+    inst = speigen.build_instance(2, 3, 2, [1])
+    trunc = enumerate_level(inst, 11, 3)
+    levels.clear()
+    validate.completeness_probe(inst, trunc, validate.default_grid())
+    assert levels == []
 
 
 def test_internal_errors_are_not_reported_as_invalid_input(monkeypatch, capsys):

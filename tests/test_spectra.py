@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from speigen import (
@@ -8,6 +10,8 @@ from speigen import (
     spectrum_level,
     zero_set_contains,
 )
+
+from conftest import instance_family
 
 
 def test_level_one_is_the_digit_set(inst12):
@@ -46,6 +50,23 @@ def test_prefix_property(inst12):
             current = spectrum_level(inst12, 1, k, omega).elements
             assert set(previous) <= set(current)
             previous = current
+
+
+def test_each_level_is_a_magnitude_window_of_level_three():
+    # instance_family(m_limit=400) x 6 seeded (t, omega) each, t of either sign up to 10**6 and omega
+    # none or of period at most 3: 420 level-3 truncations, 1,260 windows.
+    rng = random.Random(20)
+    words = [None] + [SignWord.from_bits(r, bits) for r in (1, 2, 3) for bits in range(2**r)]
+    windows = 0
+    for inst in instance_family(m_limit=400):
+        for _ in range(6):
+            t, omega = rng.choice((-1, 1)) * rng.randrange(1, 10**6), rng.choice(words)
+            top = spectrum_level(inst, t, 3, omega)
+            for k in (1, 2, 3):
+                level = spectrum_level(inst, t, k, omega).elements
+                assert top.elements[spectra.level_window(inst, top, k)] == level, (inst.describe(), t, omega, k)
+                windows += 1
+    assert windows == 1260
 
 
 def test_injective_counts(inst48, inst120):

@@ -283,5 +283,5 @@ def test_grid_rows_span_several_kernel_calls(inst12, monkeypatch):
 def test_probe_refuses_levels_outside_the_truncation(inst12):
     full = spectrum_level(inst12, 1, 2).elements
     trunc = SpectrumTruncation(t=1, omega=None, level=2, elements=full[1:])
-    with pytest.raises(ValueError, match="level-1 element 0 is not in the level-2 truncation"):
+    with pytest.raises(ValueError, match="the level-1 window holds 3 elements, not 4: levels not nested"):
         completeness_probe(inst12, trunc, [0.0], tol=1e-9)

@@ -6,11 +6,11 @@
 
 The corpus is deterministic: every subcommand as a table and with
 ``--json``, config files (valid, with unread keys, unreadable, not JSON, not
-an object), budget exhaustion, invalid instances, bad flag values and
-argparse errors.  Each tree runs the whole corpus in its own subprocess,
-which imports ``speigen`` from ``<tree>/src`` and nowhere else and calls
-``speigen.cli.main(argv)`` once per invocation with stdout and stderr
-captured.  The config files are written once, to a temporary directory both
+an object), budget exhaustion, the Q probe's float range, invalid
+instances, bad flag values and argparse errors.  Each tree runs the whole
+corpus in its own subprocess, which imports ``speigen`` from
+``<tree>/src`` and nowhere else and calls ``speigen.cli.main(argv)`` once
+per invocation with stdout and stderr captured.  The config files are written once, to a temporary directory both
 runs share, so the paths in their messages agree.
 
 Every invocation whose stdout, stderr or exit code differs is printed with
@@ -104,6 +104,7 @@ def corpus(config_dir: Path) -> list[list[str]]:
         for t in ("1", "11", "-5"):
             both("validate", *inst, "--t=" + t)
         both("validate", *inst, "--t", "7", "--omega=1,-1")
+        both("validate", *inst, "--t=-11", "--omega=1,1,-1")
     both("reproduce-paper")
     for example in ("5.2", "5.3", "5.4", "6.1"):
         both("reproduce-paper", "--example", example)
@@ -129,6 +130,13 @@ def corpus(config_dir: Path) -> list[list[str]]:
         both("attractor", *INST12, "--t", "1000001", "--node-budget", budget)
         both("attractor", *INST120, "--t", "119", "--omega=1,-1,-1", "--node-budget", budget)
         both("validate", *INST12, "--t", "11", "--node-budget", budget)
+
+    # The float range of the Q probe: M beyond 2**53, then level-3 elements
+    # just inside and just beyond the largest float64.
+    for t in ("1", "-5"):
+        both("validate", "--N", "2", "--R", "3", "--q", "60", "--p", "1", "--t=" + t)
+    for zeros in (300, 320):
+        both("validate", *INST12, "--t", "1" + "0" * zeros + "1", "--omega=1,-1")
 
     # Config files, alone and under flags.
     cfg = {name: str(config_dir / name) for name in (*CONFIGS, BROKEN_CONFIG)}
