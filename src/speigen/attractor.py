@@ -15,11 +15,11 @@ is at most ``|t| * (M - c)``, with the instance's scale ``c >= 2``, less than
 ``integer_points`` meets in the middle: word sums of the first h digits
 narrow the interval to ranges top-down, the residues modulo ``b**k`` that
 walks of k steps ``x -> b*x - c`` end in filter those ranges bottom-up, and
-a walk along the successors of the few candidates left finds every cycle.
-Closing the cycles backward inside the interval then gives exactly the
-integer points, since every point reaches a cycle.  The work is about
-``#C**h + #C**k`` plus the candidates, where a one-sided refinement costs
-``width ** (log #C / log b)``.
+a walk along the successor map of the few candidates left finds every
+cycle.  A frontier of predecessors grown backward from the cycles inside
+the interval then gives exactly the integer points, since every point
+reaches a cycle.  The work is about ``#C**h + #C**k`` plus the
+candidates, where a one-sided refinement costs ``width ** (log #C / log b)``.
 
 The same algorithm runs on a periodic sequence of digit sets, the phases
 ``C_0, ..., C_(r-1)``: step p of a walk takes its digit from phase p mod r.
@@ -253,17 +253,24 @@ def integer_points(b: int, *phases, node_budget: int = DEFAULT_NODE_BUDGET) -> t
       residues those walks end in.
     * The candidates of phase 0 are the integers of the ranges in those
       residue classes, found by bisecting the sorted residues at both ends
-      of each range.  Those of phase p + 1 are the successors of phase p's
-      inside its interval, which holds every cycle point of phase p + 1.
+      of each range.
+    * Forward, one map takes each phase-0 candidate to its position after
+      each phase.  Phase p moves every position to its one successor inside
+      the interval of phase p + 1, found by one bisection, and drops the
+      candidates that have none.  That interval holds every cycle point of
+      phase p + 1, so the positions left are its candidates.  After r
+      phases the map is one block step, and a walk along it finds every
+      cycle among the candidates, and so every cycle of integer points.
+    * Backward, a frontier starts at the cycle points of phase 0.  Each
+      round moves it from phase q to phase q - 1 (mod r): it takes the
+      integer predecessors ``(y + c) / b`` of the frontier, c from phase
+      q - 1, that are not yet points of phase q - 1.  An integer
+      predecessor of a point is a point, since it lies in its interval
+      whenever y does, and every point reaches a cycle; so when a round
+      adds nothing, the points are exactly the integer points.
 
-    Each candidate keeps its one successor, found by one bisection, and r
-    successors from phase 0 make a block step.  A walk along the block steps
-    finds every cycle among the candidates, and so every cycle of integer
-    points.  Every integer point reaches a cycle, and an integer predecessor
-    ``(y + c) / b`` of a point y is a point: it lies in its interval
-    whenever y does.  So closing the cycles backward gives exactly the
-    integer points.  ``_split`` chooses h and k from b, #C and the width; a
-    short interval with many digits gets h = k = 0, the plain scan.
+    ``_split`` chooses h and k from b, #C and the width; a short interval
+    with many digits gets h = k = 0, the plain scan.
 
     ``node_budget`` bounds the word sums (at most ``#C**h``), the residues
     (at most ``#C**k``) and the candidates of all phases, not the width of
@@ -313,26 +320,24 @@ def integer_points(b: int, *phases, node_budget: int = DEFAULT_NODE_BUDGET) -> t
             candidates += [block + v for block in range(start + modulus, end, modulus) for v in residues]
             candidates += [end + v for v in residues[:j]]
 
-    # The successor of z at phase p is b*z - c for the one digit c of phase p in the window
-    # [b*z - hi, b*z - lo] of the interval of phase p + 1, if there is one.
-    successors: list[dict[int, int]] = []
-    here: Iterable[int] = candidates
-    for digits, (lo, hi) in zip(phases, intervals[1:] + intervals[:1]):
-        if successors:
-            here = set(successors[-1].values())
-            count += len(here)
+    # Each phase-0 candidate walks forward to its position after each phase, starting at itself.
+    # The successor of y at phase p is b*y - c for the one digit c of phase p in the window
+    # [b*y - hi, b*y - lo] of the interval of phase p + 1, if there is one; after r phases the walk
+    # is one block step.  Phase 0 reads the candidates as they are: a map built for them costs
+    # about 7% of this function at small t.
+    positions: dict[int, int] = {}
+    for p, (digits, (lo, hi)) in enumerate(zip(phases, intervals[1:] + intervals[:1])):
+        if p:
+            count += len(set(positions.values()))
             if count > node_budget:
                 raise BudgetExceeded("attractor candidates", count, node_budget)
-        step, size = {}, len(digits)
-        for z in here:
-            bz = b * z
-            i = bisect_left(digits, bz - hi)
-            if i < size and digits[i] <= bz - lo:
-                step[z] = bz - digits[i]
-        successors.append(step)
-    block = successors[0]  # r steps from phase 0 back to it, where every cycle passes
-    for step in successors[1:]:
-        block = {z: step[y] for z, y in block.items() if y in step}
+        advanced, size = {}, len(digits)
+        for z, y in positions.items() if p else zip(candidates, candidates):
+            by = b * y
+            i = bisect_left(digits, by - hi)
+            if i < size and digits[i] <= by - lo:
+                advanced[z] = by - digits[i]
+        positions = advanced
 
     # A point y of phase q has its predecessors (y + c) / b at phase q - 1, c from phase q - 1.
     by_residue: list[dict[int, list[int]]] = []
@@ -342,19 +347,13 @@ def integer_points(b: int, *phases, node_budget: int = DEFAULT_NODE_BUDGET) -> t
             classes.setdefault(c % b, []).append(c)
         by_residue.append(classes)
 
-    points: list[set[int]] = [set() for _ in phases]
-    points[0].update(z for cycle in _orbit_cycles(block, block) for z in cycle)
-    stacks = [list(s) for s in points]
-    while any(stacks):
-        for q, stack in enumerate(stacks):
-            found, classes, grown = points[q - 1], by_residue[q - 1], stacks[q - 1]
-            while stack:
-                y = stack.pop()
-                for c in classes.get((-y) % b, ()):
-                    x = (y + c) // b
-                    if x not in found:
-                        found.add(x)
-                        grown.append(x)
+    frontier = {z for cycle in _orbit_cycles(positions, positions) for z in cycle}
+    points, q = [frontier] + [set() for _ in phases[1:]], 0
+    while frontier:
+        q = (q - 1) % r
+        found, classes = points[q], by_residue[q]
+        frontier = {x for y in frontier for c in classes.get((-y) % b, ()) if (x := (y + c) // b) not in found}
+        found |= frontier
     return tuple(sorted(points[0]))
 
 
@@ -383,14 +382,14 @@ def build_graph(b: int, *phases, node_budget: int = DEFAULT_NODE_BUDGET) -> Attr
     return AttractorSystem(radix=b, phases=phases, lo=lo, hi=hi, nodes=nodes, edges=tuple(edges))
 
 
-def _orbit_cycles(successor: dict[int, int], starts: Iterable[int], stop: Iterable[int] = ()) -> list[list[int]]:
+def _orbit_cycles(successor: dict[int, int], starts: Iterable[int]) -> list[list[int]]:
     """The cycles of a partial map, each a list of nodes in walk order.
 
     A walk from each start, in order, marks the nodes it reaches; it ends at
-    a node the map leaves out, at a node of ``stop`` or at a mark, and
-    closes a new cycle when that mark is its own.  Each node is walked once.
+    a node the map leaves out or at a mark, and closes a new cycle when that
+    mark is its own.  Each node is walked once.
     """
-    reached_by: dict[int, Optional[int]] = dict.fromkeys(stop)
+    reached_by: dict[int, int] = {}
     cycles = []
     for start in starts:
         path, z = [], start
@@ -408,14 +407,15 @@ def find_nonzero_cycle(system: AttractorSystem) -> Optional[CycleWitness]:
 
     Minimality is by (length, start node, digit sequence).  The graph must be
     a map, one edge from every point, or this raises ``ValueError``.  A walk
-    from each point in ascending order marks the points it reaches, 0
-    counting as seen, and closes a new cycle when it meets its own mark.
-    The least cycle by (length, least node) is read backward from that node.
+    from each point in ascending order marks the points it reaches and
+    closes a new cycle when it meets its own mark; the cycle through 0, if
+    any, is dropped.  The least cycle by (length, least node) is read
+    backward from that node.
     """
     successor = {z: y for z, _, y in system.edges}
     if len(successor) != len(system.edges) or len(successor) != len(system.nodes):
         raise ValueError("cycle search needs exactly one edge from every integer point")
-    cycles = _orbit_cycles(successor, system.nodes, stop=(0,))
+    cycles = [cycle for cycle in _orbit_cycles(successor, system.nodes) if 0 not in cycle]
     if not cycles:
         return None
     _, least, cycle = min((len(cycle), min(cycle), cycle) for cycle in cycles)

@@ -55,9 +55,11 @@ class EigenDecision:
 
     ``integer_point_count`` is the size of the pruned integer-point set when
     a graph was built (the word-length bound of the decision criterion);
-    ``missing_frequency`` is ``-eta_1`` for the returned cycle in the plain
-    unsigned case: a frequency orthogonal to the whole scaled set yet outside
-    it, certifying non-maximality.
+    ``missing_frequency`` is ``-sign(t) * eta_1`` for the returned cycle in
+    the plain unsigned case: a frequency orthogonal to the whole scaled set
+    yet outside it, certifying non-maximality.  The graph is that of
+    ``|t|``, and ``t * Lambda = sign(t) * |t| * Lambda``, so the frequency
+    flips with the sign of t.
     """
 
     t: int | Fraction
@@ -123,7 +125,7 @@ def _decide(inst: ProblemInstance, t, omega: Optional[SignWord], node_budget: in
     Zero is refused; a non-integer, or a t sharing a factor with N, is no
     spectrum outright.  Otherwise a cycle through nonzero nodes refutes the
     spectrum, and only the unsigned case (``omega is None``) reports its
-    missing frequency ``-eta_1``.
+    missing frequency ``-sign(t) * eta_1``.
     """
     if t == 0:
         raise ZeroScaling("scaling t must be nonzero")
@@ -142,7 +144,7 @@ def _decide(inst: ProblemInstance, t, omega: Optional[SignWord], node_budget: in
         omega=omega,
         integer_point_count=len(system.nodes),
         cycle=cycle,
-        missing_frequency=-cycle.nodes[0] if cycle is not None and omega is None else None,
+        missing_frequency=(-1 if t > 0 else 1) * cycle.nodes[0] if cycle is not None and omega is None else None,
     )
 
 

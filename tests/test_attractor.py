@@ -625,6 +625,19 @@ def test_long_cycle_witnesses_are_pinned(params, t, nodes, digits):
     assert witness.verify(inst.M)
 
 
+@pytest.mark.parametrize(
+    "t, points, sources",
+    [(4 * (12**5 - 1) // 11, 264, 198), (4 * (12**7 - 1) // 11, 8516, 6387), (2 * (12**8 - 1) // 11, 15530, 7765)],
+)
+def test_the_backward_closure_finds_the_points_off_the_cycles(inst12, t, points, sources):
+    # t shares a factor with N = 2, so the graph is no permutation: the sources have no in-edge and
+    # lie on no cycle, and only the closure backward from the cycles reaches them.
+    system = scaled_system(inst12, t)
+    targets = {y for _, _, y in system.edges}
+    assert len(system.nodes) == points and sum(z not in targets for z in system.nodes) == sources
+    assert system.nodes == single_sided_integer_points(12, [t * l for l in inst12.L])
+
+
 def test_cycle_search_matches_exhaustive_oracle(family_small):
     lengths = set()
     for inst in family_small:

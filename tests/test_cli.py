@@ -1,14 +1,18 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import speigen
-from speigen import InvalidParameters, eigen, spectra, validate
-from speigen.cli import build_parser, execute, main
+from speigen import CycleWitness, InvalidParameters, eigen, from_descriptor, spectra, validate, zero_set_contains
+from speigen.cli import COMMANDS, build_parser, execute, main
 
 INST12 = ["--N", "2", "--R", "3", "--q", "2", "--p", "1"]
 INST54 = ["--N", "3", "--R", "2", "--q", "3", "--p", "1"]
@@ -477,3 +481,111 @@ def test_the_module_entry_point_answers_as_main_does(capsys):
     argv = ["decide", *INST12, "--t", "1000003", "--json"]
     proc = run_fresh("-m", "speigen", *argv)
     assert (proc.returncode, proc.stdout) == run_cli(capsys, argv)[:2]
+
+
+# --------------------------------------------------------------------------
+# Contract: every input is answered or refused, and every answer checks out
+# --------------------------------------------------------------------------
+
+GOOD_T = st.one_of(
+    st.integers(-40, 40),
+    st.integers(-300, 300),
+    st.sampled_from([10**9 + 1, -(10**9 + 1), (12**8 - 1) // 11, 3**40, 10**30 + 1, -(10**30)]),
+    st.builds(lambda a, b: f"{a}/{b}", st.integers(-60, 60), st.integers(1, 12)),
+)
+BAD_T = st.sampled_from(["", "abc", "1/0", "2.5.1", "1e3", "--", "0x11"])
+
+
+@st.composite
+def instance_flags(draw):
+    """Valid instances with N in {2, 3}, q <= 3 and s <= 1, or a malformed descriptor."""
+    N, q = draw(st.sampled_from([2, 3])), draw(st.integers(1, 3))
+    R = draw(st.sampled_from([3, 5, 7, 15] if N == 2 else [2, 5, 7, 10]))
+    p = draw(st.sampled_from([""] + [str(a) for a in range(1, q)]))
+    flags = {"N": str(N), "R": str(R), "q": str(q), "p": p}
+    fault = draw(st.sampled_from([None] * 12 + ["type", "small_N", "gcd", "unordered"]))
+    if fault == "type":
+        key = draw(st.sampled_from(["N", "R", "q", "p"]))
+        flags[key] = draw(st.sampled_from(["x", "2.5", "", "1,x"]))
+    elif fault == "small_N":
+        flags["N"] = draw(st.sampled_from(["1", "0", "-2"]))
+    elif fault == "gcd":
+        flags["R"] = str(N * draw(st.integers(1, 5)))
+    elif fault == "unordered":
+        flags.update(q="3", p="2,1")
+    return [f"--{key}={value}" for key, value in flags.items()]
+
+
+@st.composite
+def invocations(draw):
+    """One argv for any subcommand, with every value passed as --flag=value."""
+    command = draw(st.sampled_from(list(COMMANDS)))
+    if command == "reproduce-paper":
+        return [command] + draw(st.sampled_from([[], ["--example=5.4"], ["--example=5.3"], ["--example=9.9"]]))
+    argv = [command, *draw(instance_flags())]
+    flags = COMMANDS[command].flags
+    if command == "search":
+        start = draw(st.integers(-300, 300) | st.sampled_from([10**12, -(10**12)]))
+        argv += [f"--t-from={start}", f"--t-to={start + draw(st.integers(-1, 40))}"]
+    else:
+        argv.append(f"--t={draw(GOOD_T) if draw(st.integers(0, 9)) else draw(BAD_T)}")
+    if "omega" in flags and (command == "signed" or draw(st.booleans())):
+        word = draw(st.lists(st.sampled_from([1, -1]), min_size=1, max_size=4))
+        argv.append("--omega=" + (",".join(map(str, word)) if draw(st.integers(0, 9)) else "1,2"))
+    if "r_max" in flags and draw(st.booleans()):
+        argv.append(f"--r-max={draw(st.integers(0, 3))}")
+    if "node_budget" in flags:
+        argv.append("--node-budget=2000")
+    return argv
+
+
+def cycles_with_bases(report):
+    """(cycle JSON, base) for every cycle witness in a report."""
+    if report["command"] == "attractor":
+        return [(report["cycle"], int(report["graph"]["base"]))] if report["cycle"] else []
+    decisions = report.get("decisions") or [report.get("decision")]
+    M = int(report["instance"]["M"]) if "instance" in report else None
+    return [(d["cycle"], M ** len(d.get("omega", [1]))) for d in decisions if d and "cycle" in d]
+
+
+def json_integers(value):
+    if isinstance(value, dict):
+        return [n for v in value.values() for n in json_integers(v)]
+    if isinstance(value, list):
+        return [n for v in value for n in json_integers(v)]
+    return [value] if isinstance(value, int) and not isinstance(value, bool) else []
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(invocations())
+# Unsigned cycles at negative t, whose missing frequencies are positive.
+@example(["decide", *INST12, "--t=-11", "--node-budget=2000"])
+@example(["validate", *INST12, "--t=-33", "--node-budget=2000"])
+@example(["search", "--N=3", "--R=2", "--q=2", "--p=1", "--t-from=-40", "--t-to=0", "--node-budget=2000"])
+def test_every_command_answers_or_refuses_with_checked_witnesses(argv):
+    outcomes = []
+    for extra in ([], ["--json"]):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv + extra)
+        assert code in (0, 2, 3), argv
+        assert (code == 0) == (err.getvalue() == ""), argv
+        if code:
+            assert err.getvalue().startswith("error: "), argv
+        outcomes.append((code, err.getvalue(), out.getvalue()))
+    (code, err, _), (json_code, json_err, text) = outcomes
+    assert (code, err) == (json_code, json_err), argv
+    if code:
+        return
+    report = json.loads(text)
+    assert all(abs(n) < 2**53 for n in json_integers(report)), argv
+    for cycle, base in cycles_with_bases(report):
+        witness = CycleWitness(tuple(map(int, cycle["nodes"])), tuple(map(int, cycle["digits"])))
+        assert witness.verify(base), argv
+    decisions = report.get("decisions") or [report.get("decision")]
+    for decision in decisions:
+        if decision and "missing_frequency" in decision:
+            inst = from_descriptor(report["instance"]["descriptor"])
+            d, t = int(decision["missing_frequency"]), int(decision["t"])
+            level3 = spectra.spectrum_level(inst, t, 3).elements
+            assert d not in level3 and all(zero_set_contains(inst, d - lam) for lam in level3), argv

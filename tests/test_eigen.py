@@ -99,6 +99,40 @@ def test_decide_sign_symmetric(inst12, inst48):
             neg = decide_scaling(inst, -t)
             assert pos.verdict == neg.verdict and pos.reason == neg.reason
             assert neg.t == -t
+            # Both build the graph of |t|; the missing frequency flips with t, since -t Lambda = -(t Lambda).
+            assert neg.cycle == pos.cycle and neg.integer_point_count == pos.integer_point_count
+            assert neg.missing_frequency == (None if pos.missing_frequency is None else -pos.missing_frequency)
+
+
+def test_missing_frequencies_at_negative_t_are_orthogonal_but_absent():
+    # Every t < 200 and a seeded sample above it, each coprime to N, on every instance with M <= 130.
+    rng = random.Random(21)
+    checked = 0
+    for inst in instance_family(m_limit=130):
+        coprime = [t for t in range(1, 5000) if math.gcd(t, inst.N) == 1]
+        for t in [t for t in coprime if t < 200] + rng.sample([t for t in coprime if t >= 200], 30):
+            decision = decide_scaling(inst, -t)
+            if decision.cycle is None:
+                continue
+            d = decision.missing_frequency
+            level3 = spectrum_level(inst, -t, 3).elements
+            assert d > 0 and d not in level3, (inst.M, -t)
+            assert all(zero_set_contains(inst, d - lam) for lam in level3), (inst.M, -t, d)
+            checked += 1
+    assert checked > 250
+
+
+@pytest.mark.parametrize("m, points, length", [(8, 7765, 4), (9, 24814, 9), (10, 80666, 5)])
+def test_hard_scalings_are_pinned(inst12, m, points, length):
+    # t = (12**m - 1) / 11 divides 12**m - 1 with a small cofactor, so T(12, tL) keeps thousands of
+    # points on cycles whose lengths divide m; the word oracle finds the same least length.
+    t = (12**m - 1) // 11
+    decision = decide_scaling(inst12, t)
+    assert decision.verdict is Verdict.NOT_SPECTRUM and decision.integer_point_count == points
+    assert decision.cycle.length == length and decision.cycle.verify(12)
+    digits = [t * l for l in inst12.L]
+    assert word_witness_search(12, digits, length)[0] == length
+    assert word_witness_search(12, digits, length - 1) is None
 
 
 def test_decide_equals_word_oracle_spot_checks(inst12):
@@ -150,10 +184,13 @@ def test_signed_gcd_gate(inst12):
         ((3, 2, 3, (1,)), (1, -1, 1), 10**6 + 1, (1, None, None)),
         ((3, 2, 3, (1,)), (1, -1, 1, -1), 10**9 + 1, (2, (-545454546,), (-4638030004638030,))),
         ((2, 15, 3, (1, 2)), (1, 1, -1, 1), 10**9 + 1, (1, None, None)),
+        ((2, 3, 2, (1,)), (1, -1), (12**8 - 1) // 11, (8108, (-27061785,), (-3869835255,))),
+        ((2, 3, 2, (1,)), (1, 1, -1), (12**8 - 1) // 11, (1, None, None)),
     ],
 )
 def test_signed_decisions_at_large_t_are_pinned(params, pattern, t, expected):
-    # The answers of the block-digit enumeration, which took 0.3-1.5 s per call here.
+    # The answers of the block-digit enumeration, which took 0.3-1.5 s per call here at t = 10**9 + 1
+    # and above.  t = (12**8 - 1) / 11 is of the hard class of test_hard_scalings_are_pinned.
     inst = build_instance(*params)
     decision = decide_scaling_signed(inst, t, SignWord(pattern))
     count, nodes, digits = expected

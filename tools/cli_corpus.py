@@ -101,7 +101,7 @@ def corpus(config_dir: Path) -> list[list[str]]:
                 both("attractor", *inst, "--t=" + t, "--omega=" + word)
         for xi in ("0", "3", "-3", "36", "1/2", "45/4", "1000000"):
             both("zeroset", *inst, "--t=" + xi)
-        for t in ("1", "11", "-5"):
+        for t in ("1", "11", "-5", "-11", "-33"):
             both("validate", *inst, "--t=" + t)
         both("validate", *inst, "--t", "7", "--omega=1,-1")
         both("validate", *inst, "--t=-11", "--omega=1,1,-1")
@@ -119,6 +119,12 @@ def corpus(config_dir: Path) -> list[list[str]]:
     ):
         both("signed", *inst, "--t", t, "--omega=" + word)
         both("attractor", *inst, "--t", t, "--omega=" + word)
+    # The hard class on M = 12: t = (12^m - 1) / 11 keeps thousands of points on cycles, and
+    # 4 (12^5 - 1) / 11 shares the factor 4 with N, so most of its 264 points have no in-edge.
+    for m in (8, 10):
+        for sign in ("", "-"):
+            both("decide", *INST12, f"--t={sign}{(12**m - 1) // 11}")
+    both("attractor", *INST12, "--t", str(4 * (12**5 - 1) // 11))
     for budget in ("1", "3", "4", "10", "100", "1000", "10000"):
         both("decide", *INST12, "--t", "10000000001", "--node-budget", budget)
         both("decide", *INST54, "--t", "1000003", "--node-budget", budget)
