@@ -340,6 +340,8 @@ def integer_points(b: int, *phases, node_budget: int = DEFAULT_NODE_BUDGET) -> t
         positions = advanced
 
     # A point y of phase q has its predecessors (y + c) / b at phase q - 1, c from phase q - 1.
+    # No predecessor comes from two frontier points, since that would put two digits of phase
+    # q - 1 in its window, which spacing forbids; so a round's frontier is a list without repeats.
     by_residue: list[dict[int, list[int]]] = []
     for digits in phases:
         classes: dict[int, list[int]] = {}
@@ -352,8 +354,8 @@ def integer_points(b: int, *phases, node_budget: int = DEFAULT_NODE_BUDGET) -> t
     while frontier:
         q = (q - 1) % r
         found, classes = points[q], by_residue[q]
-        frontier = {x for y in frontier for c in classes.get((-y) % b, ()) if (x := (y + c) // b) not in found}
-        found |= frontier
+        frontier = [x for y in frontier for c in classes.get((-y) % b, ()) if (x := (y + c) // b) not in found]
+        found.update(frontier)
     return tuple(sorted(points[0]))
 
 

@@ -1,4 +1,4 @@
-"""Mask polynomial, Fourier transform, exact zero set and exact Hadamard check.
+"""Mask polynomial, Fourier transform, exact zero set and the Hadamard condition.
 
 The measure attached to an instance is the infinite convolution of uniform
 digit measures ``M**-k * D``; its transform is ``prod_k m_D(M**-k * xi)``
@@ -15,6 +15,10 @@ keeps one block per exponent, so checking one against the other compares
 two decompositions of ``D``, not one code path with itself.  numpy is
 imported by the batched functions when they run, never when this module
 loads, so the exact predicates here start without it.
+
+Nothing is cached per instance: each helper computes its answer on every
+call, in microseconds, where a lookup keyed by the instance would hash all
+of its digit tuples and keep them alive.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import ZeroScaling
 from .instance import ProblemInstance
@@ -36,7 +39,6 @@ def _float_exact(n: int, what: str) -> float:
     return float(n)
 
 
-@lru_cache(maxsize=None)
 def _numeric_params(inst: ProblemInstance) -> tuple[int, tuple[float, ...], float, float]:
     """(N, block scales N**p_j, float M, float max(D)) for the numeric kernels.
 
@@ -47,7 +49,6 @@ def _numeric_params(inst: ProblemInstance) -> tuple[int, tuple[float, ...], floa
     return inst.N, scales, _float_exact(inst.M, "M"), _float_exact(inst.D[-1], "max(D)")
 
 
-@lru_cache(maxsize=None)
 def _digit_runs(inst: ProblemInstance) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """(scales N**a, digit counts N**l) of the maximal runs a..a+l-1 of consecutive exponents in (0, *p).
 
@@ -209,26 +210,24 @@ def zero_set_contains(inst: ProblemInstance, xi) -> bool:
 # Hadamard pair checks
 # --------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _companion_positive_diffs(inst: ProblemInstance) -> tuple[int, ...]:
-    diffs = {b1 - b2 for b1 in inst.B for b2 in inst.B if b1 > b2}
-    return tuple(sorted(diffs))
-
-
 def hadamard_check_exact(inst: ProblemInstance, t: int) -> bool:
-    """Exact compatibility of the scaled frequency digits t*L with M**-1 * D.
+    """Exact compatibility of the scaled frequency digits t*L with M**-1 * D: ``gcd(|t|, N) == 1``.
 
     Every pairwise difference of distinct elements of ``t*L`` equals
     ``c * t * (b - b')`` for distinct companion digits; it lies in the level-0
     slice of the zero set exactly when the N-adic valuation of ``t*(b - b')``
-    is one of the block exponents.  No tolerances are involved.
+    is one of the block exponents ``e = p_s - p_j``.  That holds for every
+    pair exactly when t is coprime to N:
+
+    * Two distinct companion digits first differ, from the lowest block up,
+      in some block e, by ``0 < |d - d'| < N``; so ``v_N(b - b') = e``, an
+      allowed exponent.  When t is coprime to N, N does not divide
+      ``t * (d - d')``, so ``v_N(t * (b - b')) = e`` and the pair passes.
+    * When ``g = gcd(t, N) > 1``, take two digits that differ by ``N / g``
+      in the top block ``e = p_s`` and nowhere else.  Then
+      ``t * (b - b') = N**(p_s + 1) * (t / g)``, whose valuation exceeds
+      every exponent, so the pair fails.
     """
     if t == 0:
         raise ZeroScaling("scaling t must be nonzero")
-    t = abs(t)
-    allowed = set(inst.exponents)
-    for diff in _companion_positive_diffs(inst):
-        v, _ = nadic_split(t * diff, inst.N)
-        if v not in allowed:
-            return False
-    return True
+    return math.gcd(abs(t), inst.N) == 1

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from speigen import CycleWitness, SignWord, SpeigenError, Verdict, decide_scaling_signed
+from speigen import CycleWitness, SignWord, SpeigenError, Verdict, decide_scaling_signed, nadic_split
 
 
 class SizeMismatch(SpeigenError):
@@ -23,9 +23,10 @@ def mask_direct_sum(inst, x) -> complex:
 def hadamard_check_numeric(b: int, Dset, Cset, tol: float = 1e-9) -> bool:
     """Unitarity of H = (1/sqrt(n)) [e^(2 pi i d c / b)] up to tol in max norm.
 
-    The numeric twin of :func:`speigen.hadamard_check_exact`.  Phases are
-    reduced exactly (``d*c mod b``) before float conversion, so huge digit
-    products lose no precision.
+    The numeric twin of the exact checks: at ``(M, D, t*L)`` it agrees with
+    :func:`speigen.hadamard_check_exact` and :func:`companion_valuation_check`.
+    Phases are reduced exactly (``d*c mod b``) before float conversion, so
+    huge digit products lose no precision.
     """
     Dset = list(Dset)
     Cset = list(Cset)
@@ -42,6 +43,20 @@ def hadamard_check_numeric(b: int, Dset, Cset, tol: float = 1e-9) -> bool:
     H = np.exp(2j * math.pi * phases) / math.sqrt(n)
     gram = H.conj().T @ H
     return bool(np.max(np.abs(gram - np.eye(n))) <= tol)
+
+
+def companion_valuation_check(inst, t: int) -> bool:
+    """The Hadamard condition on t*L by its definition, pair by pair.
+
+    Every difference of distinct elements of ``t*L`` is ``c * t * (b - b')``
+    for distinct companion digits; it lies in the level-0 slice of the zero
+    set exactly when the N-adic valuation of ``t * (b - b')`` is a block
+    exponent.  Walks all ``#B**2`` pairs, the reference for the closed form
+    ``gcd(|t|, N) == 1`` of :func:`speigen.hadamard_check_exact`.
+    """
+    allowed = set(inst.exponents)
+    diffs = {b1 - b2 for b1 in inst.B for b2 in inst.B if b1 > b2}
+    return all(nadic_split(abs(t) * diff, inst.N)[0] in allowed for diff in diffs)
 
 
 def bfs_least_cycle(system):

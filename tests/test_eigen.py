@@ -526,3 +526,60 @@ def test_multiples_of_a_primitive_denominator_are_not_spectra(inst12):
         decision = decide_scaling(inst12, d * u)
         assert decision.verdict is Verdict.NOT_SPECTRUM and decision.reason is Reason.CYCLE_FOUND
         assert decision.cycle.verify(12)
+
+
+# --------------------------------------------------------------------------
+# Large-t oracles
+# --------------------------------------------------------------------------
+
+def divisors(primes):
+    """Every product of a subset of the distinct primes, in ascending order."""
+    out = [1]
+    for p in primes:
+        out += [d * p for d in out]
+    return sorted(out)
+
+
+# 12**12 - 1 = 5 * 7 * 11 * 13 * 19 * 29 * 157 * 20593: each of its 256 divisors t is coprime to 12,
+# and every cycle length of T(12, tL) divides 12, so word_witness_search up to length 12 decides t.
+PRIMES_12_12 = (5, 7, 11, 13, 19, 29, 157, 20593)
+DIVISORS_12_12 = divisors(PRIMES_12_12)
+
+
+def complete_word_oracle(inst, t):
+    return word_witness_search(inst.M, [t * l for l in inst.L], 12, word_budget=10**8)
+
+
+def test_decide_matches_the_complete_word_oracle_on_divisors_of_12_12_minus_1(inst12):
+    # The 202 divisors below 10**9, 71 of them Spectrum: verdict and least cycle length agree.
+    assert math.prod(PRIMES_12_12) == 12**12 - 1
+    ts = [t for t in DIVISORS_12_12 if t < 10**9]
+    verdicts = Counter()
+    for t in ts:
+        decision, witness = decide_scaling(inst12, t), complete_word_oracle(inst12, t)
+        verdicts[decision.verdict] += 1
+        if witness is None:
+            assert decision.verdict is Verdict.SPECTRUM, t
+        else:
+            assert decision.verdict is Verdict.NOT_SPECTRUM and decision.cycle.length == witness[0], t
+            assert decision.cycle.verify(12), t
+    assert len(ts) == 202 and verdicts[Verdict.SPECTRUM] == 71
+
+
+def test_the_complete_word_oracle_on_large_divisors_of_12_12_minus_1(inst12):
+    # The 28 divisors of at least 10**10, beyond what decide answers quickly, are all NotSpectrum.
+    lengths = {t: complete_word_oracle(inst12, t)[0] for t in DIVISORS_12_12 if t >= 10**10}
+    assert Counter(lengths.values()) == {1: 20, 4: 3, 6: 3, 12: 2}
+    assert [lengths[t] for t in (685853880635, 810554586205, 1273728635465, 1783220089651)] == [1, 4, 1, 1]
+
+
+@pytest.mark.parametrize("n, primes, count", [
+    (10**16 + 1, (353, 449, 641, 1409, 69857), 19),
+    (10**14 + 1, (29, 101, 281, 121499449), 8),
+])
+def test_proper_divisors_of_10_to_the_e_plus_1_are_spectra(inst12, n, primes, count):
+    assert math.prod(primes) == n
+    ts = [t for t in divisors(primes)[1:-1] if t < 10**9]
+    assert len(ts) == count
+    for t in ts:
+        assert decide_scaling(inst12, t).verdict is Verdict.SPECTRUM, t

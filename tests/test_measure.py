@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from speigen import (
     ZeroScaling,
     _kernels,
+    build_instance,
     completeness_probe,
     fourier_power,
     fourier_value,
@@ -26,7 +27,7 @@ from speigen import (
 
 from speigen.measure import _digit_runs
 
-from oracles import SizeMismatch, hadamard_check_numeric, mask_direct_sum
+from oracles import SizeMismatch, companion_valuation_check, hadamard_check_numeric, mask_direct_sum
 
 
 def mask_runs(inst, x):
@@ -257,3 +258,20 @@ def test_hadamard_exact_equals_gcd_and_numeric(inst12, inst48, inst120):
             if abs(t) <= 20:
                 scaled = [t * l for l in inst.L]
                 assert hadamard_check_numeric(inst.M, inst.D, scaled, 1e-9) == expected
+
+
+def test_hadamard_closed_form_equals_the_valuation_oracle(family):
+    # gcd(|t|, N) == 1 against the pairwise valuation walk, on instance_family() plus instances with
+    # N = 4, 6, 10 and 12, where t can share a proper factor with N, at every 0 < |t| <= 60 and at
+    # N**5 * 7, M, M**2 and R**3.
+    extra = [build_instance(4, 3, 2, [1]), build_instance(6, 5, 2, [1]), build_instance(10, 3, 3, [2]),
+             build_instance(12, 5, 1, []), build_instance(12, 7, 3, [2])]
+    disagreements, shared = [], 0
+    for inst in family + extra:
+        for t in [t for t in range(-60, 61) if t] + [inst.N**5 * 7, inst.M, inst.M**2, inst.R**3]:
+            closed = hadamard_check_exact(inst, t)
+            if closed != companion_valuation_check(inst, t):
+                disagreements.append((inst.describe(), t))
+            shared += not closed
+    assert disagreements == []
+    assert shared > 1000

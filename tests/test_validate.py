@@ -52,6 +52,21 @@ def test_truncations_are_orthogonal_exactly_when_the_hadamard_check_holds():
     assert min(levels[k] for k in (1, 2, 3)) >= 100
 
 
+@pytest.mark.parametrize("t, failing_pair", [
+    (6, None), (-6, None), (12, None), (-12, None), (36, None), (144, None),
+    (2, (0, 12)), (4, (0, 12)), (8, (0, 24)), (24, (0, 144)),
+])
+def test_orthogonality_at_t_sharing_a_factor_with_N_is_not_the_hadamard_check(inst12, t, failing_pair):
+    # The Hadamard check fails at every t sharing a factor with N, yet on M = 12 levels 1 to 3 of tL
+    # stay orthogonal at t = +-6, +-12, 36 and 144: there the powers of R = 3 in t make up for its extra
+    # powers of N, at a higher level of the zero set.  So the check decides orthogonality only for t
+    # coprime to N; for other t the pairs must still be enumerated.
+    assert not hadamard_check_exact(inst12, t)
+    for k in (1, 2, 3):
+        report = check_orthogonal_set(inst12, spectrum_level(inst12, t, k).elements)
+        assert report.orthogonal is (failing_pair is None) and report.failing_pair == failing_pair, (t, k)
+
+
 def test_not_orthogonal_pair(inst12):
     report = check_orthogonal_set(inst12, [0, 1])
     assert not report.orthogonal

@@ -101,7 +101,7 @@ def corpus(config_dir: Path) -> list[list[str]]:
                 both("attractor", *inst, "--t=" + t, "--omega=" + word)
         for xi in ("0", "3", "-3", "36", "1/2", "45/4", "1000000"):
             both("zeroset", *inst, "--t=" + xi)
-        for t in ("1", "11", "-5", "-11", "-33"):
+        for t in ("1", "11", "-5", "-11", "-33", "2", "6", "12"):
             both("validate", *inst, "--t=" + t)
         both("validate", *inst, "--t", "7", "--omega=1,-1")
         both("validate", *inst, "--t=-11", "--omega=1,1,-1")
