@@ -26,31 +26,59 @@ import math
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+# Mask arguments per mask_factors call: the levels of a batch are grouped up to this many (one
+# level at least), so a probe batch's levels go about four to a group.
+LEVEL_BLOCK = 16384
 
 
-def mask_factors(xs, scales, counts) -> tuple[np.ndarray, np.ndarray]:
+def _buffers(size: int) -> tuple[np.ndarray, ...]:
+    """The work arrays of one kernel call: r, num, den, amplitude, phase, zero mask.
+
+    The five float arrays are rows of one allocation.  As five arrays of
+    64 KB each (``size = 8192``), they were handed back to the system when
+    freed and faulted in again on every call: 276 minor page faults per
+    ``validate`` request, which cost more than the larger groups saved.
+    """
+    return (*np.empty((5, size), dtype=np.float64), np.empty(size, dtype=bool))
+
+
+def mask_factors(xs, scales, counts, buffers=None) -> tuple[np.ndarray, np.ndarray]:
     """m_D at each x as (signed amplitude, phase) over the digit blocks.
 
     Block j is the interval ``scales[j] * {0..counts[j]-1}``; ``counts``
     broadcasts against ``scales``, so one count serves every block.  A block
     of ``n`` digits has amplitude ``sin(pi n r) / (n sin(pi r))`` (two sines
     and a divide whatever ``n`` is, and exactly 1 at ``r == 0``) and phase
-    ``(n - 1) r``.
+    ``(n - 1) r``.  The product of the blocks starts from the first block's
+    factor and the phase sum from ``0.0`` plus its phase, so each x reads
+    ``(1 * f_1) * f_2 ...`` and ``(0 + p_1) + p_2 ...`` bit for bit.
+
+    Every step writes into ``buffers`` (:func:`_buffers`, at least
+    ``xs.size`` long; fresh ones when omitted).  The two arrays returned are
+    views into them, overwritten by the next call on the same buffers.
     """
     xs = np.asarray(xs, dtype=np.float64)
-    amp = np.ones(xs.shape, dtype=np.float64)
-    phase = np.zeros(xs.shape, dtype=np.float64)
-    for scale, n in np.broadcast(scales, counts):
+    shape, xs = xs.shape, xs.ravel()
+    r, num, den, amp, phase, zero = (b[: xs.size] for b in buffers or _buffers(xs.size))
+    for j, (scale, n) in enumerate(np.broadcast(scales, counts)):
         scale, n = float(scale), float(n)
-        r = xs * scale
-        r -= np.rint(r)
-        num = np.sin(math.pi * n * r)
-        den = np.sin(math.pi * r)
+        np.multiply(xs, scale, out=r)
+        r -= np.rint(r, out=num)
+        np.sin(np.multiply(r, math.pi * n, out=num), out=num)
+        np.sin(np.multiply(r, math.pi, out=den), out=den)
         den *= n
-        amp *= np.divide(num, den, out=np.ones_like(r), where=r != 0.0)
+        # At r == 0 the ratio is 0/0; both sides become 1, so the divide gives exactly 1.
+        np.equal(r, 0.0, out=zero)
+        num[zero] = 1.0
+        den[zero] = 1.0
         r *= n - 1.0
-        phase += r
-    return amp, phase
+        if j == 0:
+            np.divide(num, den, out=amp)
+            np.add(r, 0.0, out=phase)
+        else:
+            amp *= np.divide(num, den, out=num)
+            phase += r
+    return amp.reshape(shape), phase.reshape(shape)
 
 
 def fourier_products(
@@ -63,6 +91,12 @@ def fourier_products(
     tail bound, largest first, so the ones still above ``tol`` at each level
     are a prefix; one scatter restores the input order.  Every operation is
     elementwise, so a frequency's value does not depend on its batch.
+
+    The level loop only divides: the arguments ``x / M**k`` of consecutive
+    levels go back to back into one array, up to :data:`LEVEL_BLOCK` of
+    them, and one :func:`mask_factors` call evaluates the whole group.  A
+    level costs a few numpy calls instead of the twenty of a mask step, and
+    each frequency still multiplies its level factors in level order.
     """
     xs = np.asarray(xs, dtype=np.float64)
     m_scale, max_digit, tol = float(m_scale), float(max_digit), float(tol)
@@ -72,14 +106,31 @@ def fourier_products(
     tails = tails[order]
     amp = np.ones(ys.shape, dtype=np.float64)
     phase = np.zeros(ys.shape, dtype=np.float64)
+    sizes = []  # sizes[k]: the prefix of frequencies that take level k + 1
     n = int(np.count_nonzero(tails >= tol))
     while n:
-        ys[:n] /= m_scale
-        level_amp, level_phase = mask_factors(ys[:n], scales, counts)
-        amp[:n] *= level_amp
-        phase[:n] += level_phase
+        sizes.append(n)
         tails[:n] /= m_scale
         n = int(np.count_nonzero(tails[:n] >= tol))
+    groups: list[list[int]] = []  # consecutive levels, at most LEVEL_BLOCK arguments or one level each
+    for n in sizes:
+        if not groups or sum(groups[-1]) + n > LEVEL_BLOCK:
+            groups.append([])
+        groups[-1].append(n)
+    width = max(map(sum, groups), default=0)
+    args, buffers = np.empty(width, dtype=np.float64), _buffers(width)
+    for group in groups:
+        start, previous = 0, ys
+        for n in group:
+            previous = np.divide(previous[:n], m_scale, out=args[start : start + n])
+            start += n
+        ys[: previous.size] = previous  # the next group divides on from the group's last level
+        level_amp, level_phase = mask_factors(args[:start], scales, counts, buffers)
+        start = 0
+        for n in group:
+            amp[:n] *= level_amp[start : start + n]
+            phase[:n] += level_phase[start : start + n]
+            start += n
     out_amp, out_phase = np.empty_like(amp), np.empty_like(phase)
     out_amp[order] = amp
     out_phase[order] = phase

@@ -12,7 +12,8 @@ JSON is the stable interface and serializes every potentially large integer
 as a decimal string.  Exit codes: 0 success, 2 invalid instance/config,
 3 budget exhaustion.  Only the package's own errors are mapped to exit
 codes; any other exception is an internal error and propagates, so the
-process exits 1 with a traceback.
+process exits 1 with a traceback.  A reader that closes stdout early (a
+broken pipe) ends the process quietly with status 141, as SIGPIPE would.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,6 +35,7 @@ from .errors import BudgetExceeded, InvalidParameters, SpeigenError, ZeroScaling
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_BUDGET = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, the status a shell reports for a writer whose reader left
 
 
 def _parse_p(text: str) -> list[int]:
@@ -268,7 +271,11 @@ def _validate(inst, t, omega, node_budget, tol):
         else:
             grid = validate.default_grid(decision)
             probe = validate.completeness_probe(inst, trunc, grid, tol=tol, decision=decision)
-    orthogonality = validate.check_orthogonal_set(inst, trunc.elements[spectra.level_window(inst, trunc, 2)])
+    if measure.hadamard_check_exact(inst, t):
+        # At t coprime to N every level of t * Lambda_omega is orthogonal (the lemma in hadamard_check_exact).
+        orthogonality = validate.ValidationReport(orthogonal=True)
+    else:
+        orthogonality = validate.check_orthogonal_set(inst, trunc.elements[spectra.level_window(inst, trunc, 2)])
 
     report = {
         "t": str(t),
@@ -501,7 +508,15 @@ def dispatch(args: argparse.Namespace) -> int:
 def main(argv: Optional[list[str]] = None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)  # JSON reports write M = R * N**q in full, however long
-    return dispatch(build_parser().parse_args(argv))
+    try:
+        return dispatch(build_parser().parse_args(argv))
+    except BrokenPipeError:
+        # The reader closed the pipe early (``| head``).  Whatever is still
+        # buffered goes to os.devnull, so the flush at exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

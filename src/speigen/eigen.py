@@ -34,6 +34,7 @@ from .attractor import (
 from .attractor import find_nonzero_cycle as _find_nonzero_cycle
 from .errors import BudgetExceeded, ZeroScaling
 from .instance import ProblemInstance
+from .measure import hadamard_check_exact
 from .spectra import SignWord
 
 
@@ -131,7 +132,7 @@ def _decide(inst: ProblemInstance, t, omega: Optional[SignWord], node_budget: in
         raise ZeroScaling("scaling t must be nonzero")
     if isinstance(t, Fraction):
         return EigenDecision(t=t, verdict=Verdict.NOT_SPECTRUM, reason=Reason.NON_INTEGER, omega=omega)
-    if math.gcd(abs(t), inst.N) != 1:
+    if not hadamard_check_exact(inst, t):
         return EigenDecision(t=t, verdict=Verdict.NOT_SPECTRUM, reason=Reason.SHARES_FACTOR_WITH_N, omega=omega)
     system = scaled_system(inst, t, omega, node_budget=node_budget)
     cycle = _find_nonzero_cycle(system)
@@ -271,7 +272,7 @@ def find_sign_word(
     for t in ts:
         if t == 0:
             raise ZeroScaling("scalings must be nonzero")
-        if math.gcd(abs(t), inst.N) != 1:
+        if not hadamard_check_exact(inst, t):
             raise ValueError(f"scaling {t} shares a factor with N={inst.N}")
     tried = 0
     decided: set[tuple[int, ...]] = set()

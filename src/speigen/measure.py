@@ -227,6 +227,14 @@ def hadamard_check_exact(inst: ProblemInstance, t: int) -> bool:
       in the top block ``e = p_s`` and nowhere else.  Then
       ``t * (b - b') = N**(p_s + 1) * (t / g)``, whose valuation exceeds
       every exponent, so the pair fails.
+
+    When the check holds, every level of ``t * Lambda_omega`` is orthogonal,
+    whatever the sign word: two distinct elements first differ at some level
+    k, so their difference is ``c * M**k * (+-t * (b - b') + M * Y)`` for an
+    integer Y.  The first term has valuation e below q, and ``M * Y`` at
+    least q, so the difference is ``c * M**k * N**e * u`` with N not
+    dividing u, a zero of the transform at level k.  ``validate`` answers
+    from this lemma at such t and enumerates the pairs only at the others.
     """
     if t == 0:
         raise ZeroScaling("scaling t must be nonzero")

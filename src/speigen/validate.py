@@ -100,7 +100,9 @@ def completeness_probe(
     for every grid point and element of the truncation, in calls of at most
     :data:`PROBE_BATCH` frequencies (one grid row at least), and each
     ``Q_k(xi)`` sums the level-k window of that row, the elements in the
-    order :func:`q_function` sums them.
+    order :func:`q_function` sums them.  One ``sum(axis=1)`` per level and
+    call sums every row's window; a row is contiguous, so numpy sums it
+    pairwise exactly as it sums the one array of :func:`q_function`.
     """
     if not grid:
         raise ValueError("grid must be nonempty")
@@ -115,10 +117,11 @@ def completeness_probe(
         chunk = grid[start : start + rows]
         xs = np.array([float(xi) for xi in chunk], dtype=np.float64)[:, None] - lams
         power = fourier_power(inst, xs.ravel(), tol=tol).reshape(xs.shape)
-        for xi, row in zip(chunk, power):
+        sums = [(k, power[:, window].sum(axis=1).tolist()) for k, window in windows.items()]
+        for i, xi in enumerate(chunk):
             previous = None
-            for k, window in windows.items():
-                value = float(np.sum(row[window]))
+            for k, column in sums:
+                value = column[i]
                 samples.append((float(xi), k, value))
                 if value > 1.0 + tol:
                     violations.append(f"Q_{k}({xi}) = {value} exceeds Bessel bound 1 + {tol}")

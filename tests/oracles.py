@@ -20,6 +20,48 @@ def mask_direct_sum(inst, x) -> complex:
     return sum(cmath.exp(2j * math.pi * d * x) for d in inst.D) / len(inst.D)
 
 
+def fourier_products_reference(xs, scales, counts, m_scale, max_digit, tol):
+    """The transform kernel as one fresh array per step, the bit-for-bit reference of ``_kernels.fourier_products``.
+
+    Each level accumulates its blocks into ``ones`` and ``zeros`` (so a
+    level reads ``(1 * f_1) * f_2`` and ``(0 + p_1) + p_2``), and each block
+    divides with ``where=r != 0`` into ``ones``, which leaves exactly 1 at
+    ``r == 0``.  The frequencies are sorted by tail bound, largest first,
+    and the ones still at or above ``tol`` at each level are a prefix.
+    """
+    xs = np.asarray(xs, dtype=np.float64)
+    m_scale, max_digit, tol = float(m_scale), float(max_digit), float(tol)
+    tails = 2.0 * math.pi * max_digit * np.abs(xs.ravel()) / (m_scale - 1.0)
+    order = np.argsort(-tails, kind="stable")
+    ys = xs.ravel()[order]
+    tails = tails[order]
+    amp = np.ones(ys.shape, dtype=np.float64)
+    phase = np.zeros(ys.shape, dtype=np.float64)
+    n = int(np.count_nonzero(tails >= tol))
+    while n:
+        ys[:n] /= m_scale
+        level_amp = np.ones(n, dtype=np.float64)
+        level_phase = np.zeros(n, dtype=np.float64)
+        for scale, count in np.broadcast(scales, counts):
+            scale, count = float(scale), float(count)
+            r = ys[:n] * scale
+            r -= np.rint(r)
+            num = np.sin(math.pi * count * r)
+            den = np.sin(math.pi * r)
+            den *= count
+            level_amp *= np.divide(num, den, out=np.ones_like(r), where=r != 0.0)
+            r *= count - 1.0
+            level_phase += r
+        amp[:n] *= level_amp
+        phase[:n] += level_phase
+        tails[:n] /= m_scale
+        n = int(np.count_nonzero(tails[:n] >= tol))
+    out_amp, out_phase = np.empty_like(amp), np.empty_like(phase)
+    out_amp[order] = amp
+    out_phase[order] = phase
+    return out_amp.reshape(xs.shape), out_phase.reshape(xs.shape)
+
+
 def hadamard_check_numeric(b: int, Dset, Cset, tol: float = 1e-9) -> bool:
     """Unitarity of H = (1/sqrt(n)) [e^(2 pi i d c / b)] up to tol in max norm.
 

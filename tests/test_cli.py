@@ -415,6 +415,94 @@ def test_validate_enumerates_one_truncation(monkeypatch, capsys):
     assert levels == []
 
 
+def flags_of(params):
+    n, r, q, p = params
+    return ["--N", str(n), "--R", str(r), "--q", str(q), "--p", ",".join(map(str, p))]
+
+
+def enumerated_orthogonality(params, t, pattern):
+    """The orthogonality JSON of an enumeration of every pair of level 2."""
+    inst = speigen.build_instance(*params)
+    level = spectra.spectrum_level(inst, t, 2, spectra.SignWord(pattern) if pattern else None)
+    return validate.check_orthogonal_set(inst, level.elements).to_json_dict()
+
+
+@pytest.mark.parametrize(
+    "params, t, pattern",
+    [
+        ((2, 3, 2, (1,)), 11, None),
+        ((2, 3, 2, (1,)), -11, None),
+        ((2, 3, 2, (1,)), 7, (1, -1)),
+        ((2, 3, 2, (1,)), -13, (1, 1, -1)),
+        ((3, 2, 3, (1,)), -5, (1, -1)),
+        ((2, 15, 3, (1, 2)), 49, (1, 1, -1)),
+    ],
+)
+def test_validate_reads_orthogonality_from_the_lemma_at_t_coprime_to_n(monkeypatch, capsys, params, t, pattern):
+    expected = enumerated_orthogonality(params, t, pattern)
+    assert expected["orthogonal"] is True
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("validate must not enumerate pairs at t coprime to N")
+
+    monkeypatch.setattr(validate, "check_orthogonal_set", forbidden)
+    argv = ["validate", *flags_of(params), f"--t={t}"]
+    if pattern:
+        argv.append("--omega=" + ",".join(map(str, pattern)))
+    code, out, _ = run_cli(capsys, [*argv, "--json"])
+    assert code == 0 and json.loads(out)["orthogonality"] == expected
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0 and "level-2 orthogonality: exact" in out.splitlines()
+
+
+@pytest.mark.parametrize(
+    "t, failing_pair", [(2, ["0", "12"]), (4, ["0", "12"]), (8, ["0", "24"]), (24, ["0", "144"]), (6, None), (12, None)]
+)
+def test_validate_enumerates_pairs_at_t_sharing_a_factor_with_n(monkeypatch, capsys, t, failing_pair):
+    # M = 12: the pairs of 2, 4, 8 and 24 fail, those of 6 and 12 do not, so only enumeration decides.
+    enumerate_pairs, calls = validate.check_orthogonal_set, []
+
+    def counted(inst, elements):
+        calls.append(len(elements))
+        return enumerate_pairs(inst, elements)
+
+    monkeypatch.setattr(validate, "check_orthogonal_set", counted)
+    code, out, _ = run_cli(capsys, ["validate", *INST12, f"--t={t}", "--json"])
+    orthogonality = json.loads(out)["orthogonality"]
+    assert code == 0 and calls == [16]
+    assert orthogonality == enumerated_orthogonality((2, 3, 2, (1,)), t, None)
+    assert orthogonality["orthogonal"] is (failing_pair is None)
+    assert orthogonality.get("failing_pair") == failing_pair
+
+
+def test_a_closed_pipe_ends_quietly_with_the_sigpipe_status(tmp_path, monkeypatch, capsys):
+    class ClosedPipe:
+        """A stdout whose reader has gone: every write raises, as a write to a closed pipe does."""
+
+        def __init__(self, fd):
+            self.fd = fd
+
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+        def fileno(self):
+            return self.fd
+
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        capsys.readouterr()
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(fd))
+        assert main(["validate", *INST12, "--t=2", "--json"]) == 141
+        assert capsys.readouterr().err == ""
+        # The descriptor behind stdout now writes to os.devnull.
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)
+
+
 def test_internal_errors_are_not_reported_as_invalid_input(monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise ValueError("internal bug")

@@ -7,7 +7,7 @@ from speigen import _kernels, build_instance, fourier_power, fourier_value, four
 from speigen.measure import _digit_runs, _numeric_params
 from speigen.validate import PROBE_BATCH
 
-from oracles import mask_direct_sum
+from oracles import fourier_products_reference, mask_direct_sum
 
 # The four instances the validate-probe benchmark draws from (M = 12, 48, 54, 120).
 PROBE_INSTANCES = ((2, 3, 2, (1,)), (2, 3, 4, (3,)), (3, 2, 3, (1,)), (2, 15, 3, (1, 2)))
@@ -160,3 +160,36 @@ def test_merged_runs_match_the_extended_precision_digit_sums():
                 for x, value in zip(xs, values):
                     exact = complex(digit_sum_transform(inst, mpf(float(x))))
                     assert abs(value - exact) <= bound, (params, x)
+
+
+def test_kernel_equals_the_reference_loop_bit_for_bit():
+    # The grouped, in-place level loop against the loop that allocates every step
+    # (fourier_products_reference): the same amplitude and phase bits on the benchmark instances and on
+    # two instances whose exponents split into two runs.
+    rng = np.random.default_rng(23)
+    for params in PROBE_INSTANCES + RUN_INSTANCES[:2]:
+        inst = build_instance(*params)
+        scales, counts = _digit_runs(inst)
+        _, _, m_scale, max_digit = _numeric_params(inst)
+        # A tail bound exactly at tol, as the kernel computes it, still takes its level.
+        x0 = 91.5
+        at_tol = _kernels.TWO_PI * max_digit * x0 / (m_scale - 1.0) / m_scale / m_scale
+        ties = rng.uniform(-300, 300, size=50)
+        multiples = inst.M * np.arange(-6.0, 7.0)  # integer arguments at several levels: r == 0
+        grid = np.linspace(0.0, 1.0, 25)[:, None] - rng.uniform(-2e5, 2e5, size=64)  # 2-D, like the probe
+        batches = [
+            np.array([0.0, -0.0, 0.0]),
+            np.concatenate([[0.0, -0.0, x0, -x0, x0], ties, -ties, ties, multiples, -multiples]),
+            grid,  # 1,600 arguments per level: several levels to a group
+            # Above a probe batch, with levels wider than LEVEL_BLOCK (a group each) before narrower ones.
+            rng.uniform(-1e6, 1e6, size=max(PROBE_BATCH, _kernels.LEVEL_BLOCK) + 513),
+            np.array([x0]),
+        ]
+        for xs in batches:
+            for tol in (1e-9, 1e-12, at_tol):
+                args = (scales, counts, m_scale, max_digit, tol)
+                amp, phase = _kernels.fourier_products(xs, *args)
+                ref_amp, ref_phase = fourier_products_reference(xs, *args)
+                assert amp.shape == phase.shape == np.shape(xs), (params, tol)
+                assert np.array_equal(amp, ref_amp) and np.array_equal(phase, ref_phase), (params, xs.shape, tol)
+                assert amp.tobytes() == ref_amp.tobytes() and phase.tobytes() == ref_phase.tobytes()  # signed zeros too

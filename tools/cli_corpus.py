@@ -105,6 +105,9 @@ def corpus(config_dir: Path) -> list[list[str]]:
             both("validate", *inst, "--t=" + t)
         both("validate", *inst, "--t", "7", "--omega=1,-1")
         both("validate", *inst, "--t=-11", "--omega=1,1,-1")
+        # Sign words at t sharing a factor with N (6 everywhere, -4 at N = 2), where the pairs are enumerated.
+        both("validate", *inst, "--t", "6", "--omega=1,-1")
+        both("validate", *inst, "--t=-4", "--omega=1,1,-1")
     both("reproduce-paper")
     for example in ("5.2", "5.3", "5.4", "6.1"):
         both("reproduce-paper", "--example", example)
