@@ -2,7 +2,8 @@
 
 Subcommands: decide, search, signed, type2, attractor, zeroset, validate,
 reproduce-paper.  ``COMMANDS`` declares each one: its handler, its help
-line, the fields it reads and the message for a missing required field.
+line, the fields it reads and the message for a missing required field;
+``Parser`` reads argv from that table and ``FIELDS``.
 Every field resolves one way: the flag, else the same key in the JSON
 config file (``--config``), else its default; ``--config`` and ``--json``
 are flag-only.  Flags arrive as text, and a field's converter
@@ -18,14 +19,15 @@ broken pipe) ends the process quietly with status 141, as SIGPIPE would.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Callable, Optional
 
 from . import attractor as attractor_mod
@@ -109,30 +111,31 @@ def _tolerance(value, key: str) -> float:
 @dataclass(frozen=True)
 class Field:
     flag: str
-    options: dict  # argparse options; never a type, since `convert` is the one conversion
+    help: str
     convert: Optional[Callable] = None  # (value, key) -> value; None keeps the value as given
     default: object = None
 
 
 # Parser order: every subcommand lists its flags in this order.
 FIELDS = {
-    "N": Field("--N", {"help": "base digit count (>= 2)"}),
-    "R": Field("--R", {"help": "cofactor coprime to N (>= 2)"}),
-    "q": Field("--q", {"help": "exponent in M = R * N^q"}),
-    "p": Field("--p", {"help": "comma list of block exponents, e.g. 1,2 (empty for one block)"}, default=()),
-    "config": Field("--config", {"help": "JSON config file with the same fields as the flags"}),
-    "node_budget": Field("--node-budget", {}, _at_least_one, attractor_mod.DEFAULT_NODE_BUDGET),
-    "tol": Field("--tol", {"help": "numeric tolerance for probes"}, _tolerance, 1e-9),
-    "json": Field("--json", {"action": "store_true", "help": "emit the stable JSON report instead of a table"}),
-    "t": Field("--t", {"help": "scaling (integer or a/b); for zeroset: the frequency"}, _rational),
-    "t_from": Field("--t-from", {}, instance._coerce_integer),
-    "t_to": Field("--t-to", {}, instance._coerce_integer),
-    "omega": Field("--omega", {"help": "comma list of +-1 signs, e.g. 1,-1"}, _sign_word),
-    "r_max": Field("--r-max", {"help": "search bound for a common sign word"}, _at_least_one),
-    "example": Field("--example", {"help": "restrict to one case id: 5.2, 5.3 or 5.4"}),
+    "N": Field("--N", "base digit count (>= 2)"),
+    "R": Field("--R", "cofactor coprime to N (>= 2)"),
+    "q": Field("--q", "exponent in M = R * N^q"),
+    "p": Field("--p", "comma list of block exponents, e.g. 1,2 (empty for one block)", default=()),
+    "config": Field("--config", "JSON config file with the same fields as the flags"),
+    "node_budget": Field("--node-budget", "cap on each work count", _at_least_one, attractor_mod.DEFAULT_NODE_BUDGET),
+    "tol": Field("--tol", "numeric tolerance for probes", _tolerance, 1e-9),
+    "json": Field("--json", "emit the stable JSON report instead of a table"),
+    "t": Field("--t", "scaling (integer or a/b); for zeroset: the frequency", _rational),
+    "t_from": Field("--t-from", "first integer scaling of the range", instance._coerce_integer),
+    "t_to": Field("--t-to", "last integer scaling of the range", instance._coerce_integer),
+    "omega": Field("--omega", "comma list of +-1 signs, e.g. 1,-1", _sign_word),
+    "r_max": Field("--r-max", "search bound for a common sign word", _at_least_one),
+    "example": Field("--example", "restrict to one case id: 5.2, 5.3 or 5.4"),
 }
 INSTANCE = ("N", "R", "q", "p")
 FLAG_ONLY = ("config", "json")
+SWITCH = "json"  # the one flag that takes no value
 
 
 def _instance_from(get: Callable) -> instance.ProblemInstance:
@@ -430,23 +433,163 @@ COMMANDS = {
 }
 
 
+# The subcommands that take an instance may share one config file, so a key
+# passes when any of them reads it; reproduce-paper reads its own.
+CONFIG_KEYS = {
+    takes: frozenset(key for c in COMMANDS.values() if (INSTANCE[0] in c.flags) == takes for key in c.flags)
+    for takes in (False, True)
+}
+
+PROG = "speigen"
+DESCRIPTION = "Exact scaling-eigenvalue decisions for product-form self-similar spectral measures."
+HELP = "help"  # the option key of -h and --help
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+class Parser:
+    """argv -> namespace over ``COMMANDS`` and ``FIELDS``.
+
+    The first value names the command; before it only ``-h``/``--help`` is
+    an option.  An option is a flag, ``-h``/``--help`` or a unique prefix of
+    a long flag (``--node``), and takes its value from ``--flag=value`` or
+    from the next token.  A token that starts with ``-`` is a value only when
+    it is ``-``, a negative number (``-3``, ``-.5``) or contains a space, so
+    ``--t -3/5`` lacks its value.  The last value of a flag wins, ``--json``
+    is a switch, and ``--`` ends the options: it and every token after it are
+    left over.  Every token is read before any is used, so an ambiguous
+    prefix fails first.  The namespace holds ``command`` and each field of
+    the command, None when absent (``json`` False).  A usage error prints a
+    usage line and ``prog: error: message`` to stderr and raises
+    ``SystemExit(2)``; help goes to stdout and raises ``SystemExit(0)``.
+    The rules and the error phrases are those of the standard library's
+    argument parser, so both read every argv alike.
+    """
+
+    def __init__(self):
+        self.top = {"-h": HELP, "--help": HELP}
+        self.options = {
+            name: {**self.top, **{f.flag: key for key, f in FIELDS.items() if key in c.flags or key in FLAG_ONLY}}
+            for name, c in COMMANDS.items()
+        }
+        # The namespace of each command before any token is read.
+        self.blank = {
+            name: {"command": name, **{key: False if key == SWITCH else None for key in self._keys(name)}}
+            for name in COMMANDS
+        }
+
+    def parse_args(self, argv: Optional[list[str]] = None) -> SimpleNamespace:
+        argv = sys.argv[1:] if argv is None else list(argv)
+        left = []  # tokens nothing reads, reported once the command has parsed
+        i = 0
+        while i < len(argv) and argv[i] != "--" and (option := self._option(argv[i], None)) is not None:
+            if option[0] is None:
+                left.append(argv[i])
+            else:
+                self._help(option, None)
+            i += 1
+        # The command is the first value, or a "--" with a token after it.
+        if i + (argv[i : i + 1] == ["--"]) >= len(argv):
+            self._error("the following arguments are required: command")
+        name, rest = argv[i], argv[i + 1 :]
+        if name not in self.options:
+            choices = ", ".join(map(repr, COMMANDS))
+            self._error(f"argument command: invalid choice: {name!r} (choose from {choices})")
+        end = rest.index("--") if "--" in rest else len(rest)
+        read = [self._option(token, name) for token in rest[:end]]
+        namespace = dict(self.blank[name])
+        j = 0
+        while j < end:
+            if read[j] is None or read[j][0] is None:
+                left.append(rest[j])
+            elif read[j][0] == HELP:
+                self._help(read[j], name)
+            else:
+                key, flag, value = read[j]
+                if key == SWITCH:
+                    if value is not None:
+                        self._error(f"argument {flag}: ignored explicit argument {value!r}", name)
+                    value = True
+                elif value is None:
+                    if j + 1 == end or read[j + 1] is not None:
+                        self._error(f"argument {flag}: expected one argument", name)
+                    j += 1
+                    value = rest[j]
+                namespace[key] = value
+            j += 1
+        left += rest[end:]
+        if left:
+            self._error(f"unrecognized arguments: {' '.join(left)}")
+        return SimpleNamespace(**namespace)
+
+    def _option(self, token: str, name: Optional[str]) -> Optional[tuple]:
+        """None for a value, else (key, flag, value given with it or None); key None is an unknown option."""
+        options = self.top if name is None else self.options[name]
+        if not token or token[0] != "-":
+            return None
+        if token in options:
+            return options[token], token, None
+        if len(token) == 1:
+            return None
+        head, eq, value = token.partition("=")
+        if eq and head in options:
+            return options[head], head, value
+        if token[1] == "-":
+            matches = [(flag, value if eq else None) for flag in options if flag.startswith(head)]
+        else:  # a short option with text glued on, as "-hx"
+            matches = [(flag, token[2:]) for flag in options if flag == token[:2]]
+        if len(matches) > 1:
+            self._error(f"ambiguous option: {token} could match {', '.join(flag for flag, _ in matches)}", name)
+        if matches:
+            ((flag, value),) = matches
+            return options[flag], flag, value
+        if _NEGATIVE_NUMBER.match(token) or " " in token:
+            return None
+        return None, token, None
+
+    def _help(self, option: tuple, name: Optional[str]):
+        """Print the help of the parser or of one command and exit 0, or refuse a value given to -h/--help."""
+        _, flag, value = option
+        if value and flag == "-h":
+            value = value.lstrip("h") or None  # "-hh" is -h twice
+        if value is not None:
+            self._error(f"argument -h/--help: ignored explicit argument {value!r}", name)
+        own = [("-h, --help", "show this help and exit")]
+        if name is None:
+            text, sections = [DESCRIPTION], [("commands", [(n, c.help) for n, c in COMMANDS.items()]), ("options", own)]
+        else:
+            fields = [(self._metavar(key), FIELDS[key].help) for key in self._keys(name)]
+            text, sections = [COMMANDS[name].help], [("options", own + fields)]
+        width = max(len(left) for _, rows in sections for left, _ in rows) + 2
+        for title, rows in sections:
+            text += ["", f"{title}:", *(f"  {left:<{width}}{right}" for left, right in rows)]
+        print("\n".join([self._usage(name), "", *text]))
+        raise SystemExit(EXIT_OK)
+
+    def _keys(self, name: str) -> list[str]:
+        return [key for key in self.options[name].values() if key != HELP]
+
+    @staticmethod
+    def _metavar(key: str) -> str:
+        return FIELDS[key].flag if key == SWITCH else f"{FIELDS[key].flag} {key.upper()}"
+
+    def _usage(self, name: Optional[str]) -> str:
+        if name is None:
+            return f"usage: {PROG} [-h] {{{','.join(COMMANDS)}}} ..."
+        return " ".join([f"usage: {PROG} {name} [-h]", *(f"[{self._metavar(key)}]" for key in self._keys(name))])
+
+    def _error(self, message: str, name: Optional[str] = None):
+        prog = PROG if name is None else f"{PROG} {name}"
+        print(f"{self._usage(name)}\n{prog}: error: {message}", file=sys.stderr)
+        raise SystemExit(EXIT_INVALID)
+
+
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> Parser:
     """The parser for every subcommand, built once per process; parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
-        prog="speigen",
-        description="Exact scaling-eigenvalue decisions for product-form self-similar spectral measures.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in COMMANDS.items():
-        cmd = sub.add_parser(name, help=command.help)
-        for key, spec in FIELDS.items():
-            if key in command.flags or key in FLAG_ONLY:
-                cmd.add_argument(spec.flag, **spec.options)
-    return parser
+    return Parser()
 
 
-def execute(args: argparse.Namespace) -> tuple[dict, list[str]]:
+def execute(args: SimpleNamespace) -> tuple[dict, list[str]]:
     """Resolve the command's fields, run it and put the instance header first.
 
     The instance is built before anything else; then every required field
@@ -455,11 +598,8 @@ def execute(args: argparse.Namespace) -> tuple[dict, list[str]]:
     name = args.command
     command = COMMANDS[name]
     config = _load_config(args.config)
-    # The subcommands that take an instance may share one config file, so a
-    # key passes when any of them reads it; reproduce-paper reads its own.
     takes_instance = INSTANCE[0] in command.flags  # the instance flags come as one group
-    readable = {key for c in COMMANDS.values() if (INSTANCE[0] in c.flags) == takes_instance for key in c.flags}
-    unread = sorted(set(config) - readable)
+    unread = sorted(set(config) - CONFIG_KEYS[takes_instance])
     if unread:
         raise InvalidParameters([("config_key", f"config keys not read by {name}: {', '.join(map(repr, unread))}")])
 
@@ -493,7 +633,7 @@ def execute(args: argparse.Namespace) -> tuple[dict, list[str]]:
     return report, lines + own_lines
 
 
-def dispatch(args: argparse.Namespace) -> int:
+def dispatch(args: SimpleNamespace) -> int:
     """Run one parsed command and print its report; package errors become exit codes."""
     try:
         report, lines = execute(args)

@@ -3,12 +3,15 @@
 The tests import these as oracles for the exact routines in ``speigen``.
 """
 
+import argparse
 import cmath
+import functools
 import math
 
 import numpy as np
 
 from speigen import CycleWitness, SignWord, SpeigenError, Verdict, decide_scaling_signed, nadic_split
+from speigen.cli import COMMANDS, FIELDS, FLAG_ONLY, SWITCH
 
 
 class SizeMismatch(SpeigenError):
@@ -167,3 +170,19 @@ def first_sign_word(inst, ts, r_max):
             if all(decide_scaling_signed(inst, t, omega).verdict is Verdict.SPECTRUM for t in ts):
                 return omega
     return None
+
+
+@functools.cache
+def argparse_reference_parser() -> argparse.ArgumentParser:
+    """The standard library parser over the same command table, the reference of ``cli.build_parser``."""
+    parser = argparse.ArgumentParser(
+        prog="speigen",
+        description="Exact scaling-eigenvalue decisions for product-form self-similar spectral measures.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in COMMANDS.items():
+        cmd = sub.add_parser(name, help=command.help)
+        for key, spec in FIELDS.items():
+            if key in command.flags or key in FLAG_ONLY:
+                cmd.add_argument(spec.flag, help=spec.help, **({"action": "store_true"} if key == SWITCH else {}))
+    return parser

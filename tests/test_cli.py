@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 import speigen
 from speigen import CycleWitness, InvalidParameters, eigen, from_descriptor, spectra, validate, zero_set_contains
-from speigen.cli import COMMANDS, build_parser, execute, main
+from speigen.cli import COMMANDS, FIELDS, FLAG_ONLY, build_parser, execute, main
+
+from oracles import argparse_reference_parser
 
 INST12 = ["--N", "2", "--R", "3", "--q", "2", "--p", "1"]
 INST54 = ["--N", "3", "--R", "2", "--q", "3", "--p", "1"]
@@ -677,3 +679,79 @@ def test_every_command_answers_or_refuses_with_checked_witnesses(argv):
             d, t = int(decision["missing_frequency"]), int(decision["t"])
             level3 = spectra.spectrum_level(inst, t, 3).elements
             assert d not in level3 and all(zero_set_contains(inst, d - lam) for lam in level3), argv
+
+
+# --------------------------------------------------------------------------
+# The parser reads every argv as the standard library's parser does
+# --------------------------------------------------------------------------
+
+FLAGS = ["-h", "--help", *(field.flag for field in FIELDS.values())]
+# Every prefix of a long flag: unique ones (--node, --no, --he) and ambiguous ones (--t-).
+PREFIXES = sorted({flag[:n] for flag in FLAGS if flag.startswith("--") for n in range(3, len(flag))})
+VALUES = ["-", "-3", "-.5", "-3/5", "-1,1", "- 3", "1 2", "--t 3", ""]
+VALUE = st.sampled_from(["3", "11", "3/5", "1,-1", "1e-3", "5.4"]) | st.sampled_from(VALUES)
+
+
+@st.composite
+def argvs(draw):
+    """A command or none, then items: a flag and its value, as one token or two, or one token of any kind."""
+    name = draw(st.sampled_from([*COMMANDS, None]))
+    own = [f.flag for key, f in FIELDS.items() if key in COMMANDS[name].flags or key in FLAG_ONLY] if name else FLAGS
+    flags = st.sampled_from(own) | st.sampled_from(own) | st.sampled_from(FLAGS + PREFIXES)
+    pair = st.tuples(flags, VALUE).map(list)
+    items = st.one_of(
+        pair,
+        pair,
+        st.builds(lambda flag, value: [f"{flag}={value}"], flags, VALUE),
+        st.sampled_from([*COMMANDS, *VALUES, "x", "--", "-hh", "-hx", "-x", "---t"]).map(lambda token: [token]),
+    )
+    return [name] * (name is not None) + sum(draw(st.lists(items, max_size=5)), [])
+
+
+def parsed(parser, argv):
+    """(namespace dict or None, SystemExit code or None, stdout, stderr) of one parse."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            return vars(parser.parse_args(argv)), None, out.getvalue(), err.getvalue()
+        except SystemExit as exc:
+            return None, exc.code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=1500, deadline=None, derandomize=True)
+@given(argvs())
+@example(["decide", "--node", "5", "--no=5", "--t=3", "--t", "5", "--json"])
+@example(["search", "--t-", "1"])
+@example(["decide", "--json=1"])
+@example(["decide", "--t", "3", "--", "x"])
+@example(["validate", "--tol", "1e-3", "-h"])
+@example(["--json", "decide", "--t", "-"])
+@example(["signed", "--t", "- 3", "--omega", "-1,1"])
+@example(["type2", "--t", "-3/5"])
+@example(["decide", "--t", "-.5", "stray"])
+def test_the_parser_reads_argv_as_the_reference_does(argv):
+    namespace, code, out, err = parsed(build_parser(), argv)
+    ref_namespace, ref_code, _, ref_err = parsed(argparse_reference_parser(), argv)
+    assert (namespace, code) == (ref_namespace, ref_code), argv
+    if code == 2:
+        # Usage lines differ; the error line "prog: error: message" is the reference's.
+        assert err.splitlines()[-1] == ref_err.splitlines()[-1], argv
+        assert out == ""
+    elif code == 0:
+        assert out.startswith("usage: speigen") and err == ""
+    else:
+        assert out == err == ""
+
+
+def test_a_decide_never_imports_argparse():
+    script = (
+        "import io, sys\n"
+        "from contextlib import redirect_stdout\n"
+        "import speigen.cli\n"
+        "with redirect_stdout(io.StringIO()):\n"
+        "    code = speigen.cli.main(['decide', '--N', '2', '--R', '3', '--q', '2', '--p', '1', '--t', '1000003'])\n"
+        "print(code, 'argparse' in sys.modules)\n"
+    )
+    proc = run_fresh("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]

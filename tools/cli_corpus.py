@@ -7,7 +7,7 @@
 The corpus is deterministic: every subcommand as a table and with
 ``--json``, config files (valid, with unread keys, unreadable, not JSON, not
 an object), budget exhaustion, the Q probe's float range, invalid
-instances, bad flag values and argparse errors.  Each tree runs the whole
+instances, bad flag values, usage errors and help.  Each tree runs the whole
 corpus in its own subprocess, which imports ``speigen`` from
 ``<tree>/src`` and nowhere else and calls ``speigen.cli.main(argv)`` once
 per invocation with stdout and stderr captured.  The config files are written once, to a temporary directory both
@@ -44,6 +44,7 @@ INST120 = ["--N", "2", "--R", "15", "--q", "3", "--p", "1,2"]
 INST45 = ["--N", "3", "--R", "5", "--q", "2", "--p", "1"]
 INST6 = ["--N", "2", "--R", "3", "--q", "1", "--p", ""]
 INSTANCES = (INST12, INST48, INST54, INST120, INST45, INST6)
+COMMANDS = ("decide", "search", "signed", "type2", "attractor", "zeroset", "validate", "reproduce-paper")
 
 CONFIGS = {
     "decide.json": {"N": 2, "R": 3, "q": 2, "p": [1], "t": "11"},
@@ -165,7 +166,7 @@ def corpus(config_dir: Path) -> list[list[str]]:
     both("decide", "--config", str(config_dir / "missing.json"))
     both("reproduce-paper", "--config", cfg["decide.json"])
 
-    # Invalid input, bad flag values and argparse errors.
+    # Invalid input, bad flag values and usage errors.
     for argv in (
         ["decide", "--N", "1", "--R", "3", "--q", "2", "--t", "3"],
         ["decide", "--N", "2", "--R", "4", "--q", "2", "--t", "3"],
@@ -202,6 +203,21 @@ def corpus(config_dir: Path) -> list[list[str]]:
         [],
         ["--help"],
         ["signed", "--help"],
+        # The parser's edge cases: prefixes, explicit and repeated values, "--", stray
+        # words, values that start with "-", and help after a flag.
+        ["decide", *INST12, "--t", "11", "--node", "5"],
+        ["decide", *INST12, "--t", "11", "--no=5"],
+        ["search", *INST12, "--t-", "1"],
+        ["decide", *INST12, "--t", "11", "--json=1"],
+        ["decide", *INST12, "--t=3", "--t", "5"],
+        ["decide", *INST12, "--t", "3", "--", "x"],
+        ["validate", *INST12, "--t", "11", "--tol", "1e-3", "-h"],
+        ["decide", *INST12, "--t", "11", "stray"],
+        ["--json", "decide", *INST12, "--t", "11"],
+        ["decide", *INST12, "--t", "-"],
+        ["decide", *INST12, "--t", "- 3"],
+        ["decide", *INST12, "--t", "-.5"],
+        *([name, "--help"] for name in COMMANDS),
     ):
         calls.append(argv)
     return calls
