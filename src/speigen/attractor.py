@@ -27,8 +27,8 @@ Its phase-0 points are the integer points of ``T(b**r, B)`` with the block
 digits ``B = {sum_p b**(r-1-p) c_p}``, and r steps from phase 0 back to it
 are one block step, so a block system of ``prod_p #C_p`` digits is handled
 through r sets of ``#C_p`` digits each, and one phase is ``T(b, C)``.
-``build_graph`` reads the block edge of each point off its walk of r steps,
-one successor per step.
+``build_graph`` walks each point r steps by the same successor rule and
+reads its block digit ``b**r * z - y`` off the end y of the walk.
 
 A cycle through nonzero integer points (equivalently a word witness for the
 divisibility criterion) certifies that the scaled set fails to be a spectrum.
@@ -46,6 +46,7 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .errors import BudgetExceeded
+from .instance import direct_sum
 
 DEFAULT_NODE_BUDGET = 10**7
 DEFAULT_WORD_BUDGET = 10**7
@@ -75,14 +76,12 @@ class AttractorSystem:
 
     @cached_property
     def digits(self) -> tuple[int, ...]:
-        """The sorted block digits, one per word of one digit from each phase.
+        """The sorted block digits: the direct sum of the sets ``b**(r-1-p) * C_p``.
 
-        Spaced phases give distinct words distinct sums, so no block digit repeats.
+        Spaced phases give distinct words distinct sums, so the sum is direct.
         """
-        sums = [0]
-        for phase in self.phases:
-            sums = [self.radix * s + c for s in sums for c in phase]
-        return tuple(sorted(sums))
+        r = len(self.phases)
+        return direct_sum(*([self.radix ** (r - 1 - p) * c for c in phase] for p, phase in enumerate(self.phases)))
 
     def to_json_dict(self) -> dict:
         return {
@@ -229,6 +228,21 @@ def _end_residues(b: int, phases: Sequence[Sequence[int]], levels: int) -> list[
     return sorted(ends)
 
 
+def _advance(b: int, digits: Sequence[int], lo: int, hi: int, positions: Iterable[tuple[int, int]]) -> dict[int, int]:
+    """One phase of the walks: each ``(start, y)`` moves to its successor in ``[lo, hi]``, or is dropped.
+
+    The successor is ``b*y - c`` for the one digit c in the window
+    ``[b*y - hi, b*y - lo]``, found by one bisection of the sorted digits.
+    """
+    advanced, size = {}, len(digits)
+    for z, y in positions:
+        by = b * y
+        i = bisect_left(digits, by - hi)
+        if i < size and digits[i] <= by - lo:
+            advanced[z] = by - digits[i]
+    return advanced
+
+
 def integer_points(b: int, *phases, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[int, ...]:
     """All integers in T(b**r, B), the block digits B given by r spaced phases over base b.
 
@@ -320,24 +334,16 @@ def integer_points(b: int, *phases, node_budget: int = DEFAULT_NODE_BUDGET) -> t
             candidates += [block + v for block in range(start + modulus, end, modulus) for v in residues]
             candidates += [end + v for v in residues[:j]]
 
-    # Each phase-0 candidate walks forward to its position after each phase, starting at itself.
-    # The successor of y at phase p is b*y - c for the one digit c of phase p in the window
-    # [b*y - hi, b*y - lo] of the interval of phase p + 1, if there is one; after r phases the walk
-    # is one block step.  Phase 0 reads the candidates as they are: a map built for them costs
-    # about 7% of this function at small t.
+    # Each phase-0 candidate walks forward to its position after each phase, starting at itself;
+    # after r phases the walk is one block step.  Phase 0 reads the candidates as they are: a map
+    # built for them costs about 7% of this function at small t.
     positions: dict[int, int] = {}
     for p, (digits, (lo, hi)) in enumerate(zip(phases, intervals[1:] + intervals[:1])):
         if p:
             count += len(set(positions.values()))
             if count > node_budget:
                 raise BudgetExceeded("attractor candidates", count, node_budget)
-        advanced, size = {}, len(digits)
-        for z, y in positions.items() if p else zip(candidates, candidates):
-            by = b * y
-            i = bisect_left(digits, by - hi)
-            if i < size and digits[i] <= by - lo:
-                advanced[z] = by - digits[i]
-        positions = advanced
+        positions = _advance(b, digits, lo, hi, positions.items() if p else zip(candidates, candidates))
 
     # A point y of phase q has its predecessors (y + c) / b at phase q - 1, c from phase q - 1.
     # No predecessor comes from two frontier points, since that would put two digits of phase
@@ -364,24 +370,22 @@ def build_graph(b: int, *phases, node_budget: int = DEFAULT_NODE_BUDGET) -> Attr
 
     B is given by r spaced phases over base b as in :func:`integer_points`;
     one phase C is T(b, C).  The block edge from a point z is its walk of r
-    steps ``y -> b*y - c``, step p taking the one digit of phase p in the
+    steps ``y -> b*y - c``, taken by the successor rule of
+    :func:`integer_points`: step p takes the one digit of phase p in the
     window of the interval of phase p + 1 (mod r).  A point's successor is a
-    point, so the walk ends on a point; its digits sum to the block digit
-    ``d = sum_p b**(r-1-p) c_p``.
+    point, so every walk ends on a point y, and the block digit is
+    ``d = b**r * z - y``.
     """
     phases = tuple(tuple(sorted(set(C))) for C in phases)
     nodes = integer_points(b, *phases, node_budget=node_budget)
     intervals = _phase_intervals(b, phases)
-    edges = []
-    for z in nodes:
-        y, d = z, 0
-        for digits, (lo, hi) in zip(phases, intervals[1:] + intervals[:1]):
-            by = b * y
-            c = digits[bisect_left(digits, by - hi)]
-            y, d = by - c, b * d + c
-        edges.append((z, d, y))
+    positions = zip(nodes, nodes)
+    for digits, (lo, hi) in zip(phases, intervals[1:] + intervals[:1]):
+        positions = _advance(b, digits, lo, hi, positions).items()
+    base = b ** len(phases)
+    edges = tuple((z, base * z - y, y) for z, y in positions)
     lo, hi = intervals[0]
-    return AttractorSystem(radix=b, phases=phases, lo=lo, hi=hi, nodes=nodes, edges=tuple(edges))
+    return AttractorSystem(radix=b, phases=phases, lo=lo, hi=hi, nodes=nodes, edges=edges)
 
 
 def _orbit_cycles(successor: dict[int, int], starts: Iterable[int]) -> list[list[int]]:

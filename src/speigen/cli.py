@@ -239,7 +239,7 @@ def _attractor(inst, t, omega, node_budget):
 
 
 def _zeroset(inst, t):
-    witness = measure.zero_set_decompose(inst, t if t.denominator != 1 else int(t))
+    witness = measure.zero_set_decompose(inst, t)
     report = {
         "xi": str(t),
         "member": witness is not None,
@@ -657,7 +657,3 @@ def main(argv: Optional[list[str]] = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_BROKEN_PIPE
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -128,8 +128,6 @@ def _decide(inst: ProblemInstance, t, omega: Optional[SignWord], node_budget: in
     spectrum, and only the unsigned case (``omega is None``) reports its
     missing frequency ``-sign(t) * eta_1``.
     """
-    if t == 0:
-        raise ZeroScaling("scaling t must be nonzero")
     if isinstance(t, Fraction):
         return EigenDecision(t=t, verdict=Verdict.NOT_SPECTRUM, reason=Reason.NON_INTEGER, omega=omega)
     if not hadamard_check_exact(inst, t):
@@ -228,7 +226,7 @@ def decide_second_type(inst: ProblemInstance, t1: int, t2: int) -> bool:
     if t1 == 0 or t2 == 0:
         raise ZeroScaling("t1 and t2 must be nonzero")
     ratio = Fraction(t1, t2)
-    return math.gcd(abs(ratio.numerator), inst.N) == 1 and math.gcd(ratio.denominator, inst.N) == 1
+    return hadamard_check_exact(inst, ratio.numerator) and hadamard_check_exact(inst, ratio.denominator)
 
 
 def _word_class(pattern: tuple[int, ...]) -> tuple[int, ...]:

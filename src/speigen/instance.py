@@ -119,8 +119,8 @@ def build_instance(
     p_last = p_all[-1]
     exponents = tuple(p_last - pj for pj in p_all)
 
-    D = _direct_sum(N, p_all)
-    B = _direct_sum(N, exponents)
+    D = direct_sum(*[range(0, N ** (e + 1), N**e) for e in p_all])  # the blocks N**e * {0..N-1}
+    B = direct_sum(*[range(0, N ** (e + 1), N**e) for e in exponents])
     c = R * N ** (q - p_last - 1)
     L = tuple(c * b for b in B)
     M = R * N**q
@@ -130,15 +130,18 @@ def build_instance(
     return inst
 
 
-def _direct_sum(N: int, exponents: Sequence[int]) -> tuple[int, ...]:
+def direct_sum(*sets: Iterable[int]) -> tuple[int, ...]:
+    """The sorted sums of one element from each set, which must all differ.
+
+    Raises ``ValueError`` when two choices give the same sum, that is when
+    the sum is not direct.
+    """
     sums = [0]
-    for e in exponents:
-        step = N**e
-        sums = [x + step * d for x in sums for d in range(N)]
-    out = tuple(sorted(sums))
-    if len(set(out)) != len(out):
-        raise AssertionError("direct sum produced duplicate digits")
-    return out
+    for elements in sets:
+        sums = [x + y for x in sums for y in elements]
+    if len(set(sums)) != len(sums):
+        raise ValueError("the sum is not direct: two choices give the same sum")
+    return tuple(sorted(sums))
 
 
 def _check_derived(inst: ProblemInstance) -> None:

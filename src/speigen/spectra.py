@@ -3,8 +3,8 @@
 Level-k truncations enumerate ``t * sum_{j<=k} l_j w_j M**(j-1)`` over all
 digit choices ``l_j in L``, where ``w`` is an optional periodic sign word
 (all ones when absent).  Digit expansions in base M are unique, so every
-truncation has exactly ``(#L)**k`` elements; the enumeration asserts this
-rather than assuming it.
+truncation is the direct sum of the k scaled digit sets
+``t * w_j * M**(j-1) * L`` and has exactly ``(#L)**k`` elements.
 
 The levels nest by magnitude.  Every level-k element has
 ``|lambda| <= |t| (M - c)(M**k - 1)/(M - 1) < |t| M**k``, since
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import BudgetExceeded, ZeroScaling
-from .instance import ProblemInstance
+from .instance import ProblemInstance, direct_sum
 
 DEFAULT_ELEMENT_BUDGET = 10**6
 
@@ -68,17 +68,6 @@ class SpectrumTruncation:
     elements: tuple[int, ...]
 
 
-def _signed_sums(inst: ProblemInstance, k: int, omega: Optional[SignWord]) -> list[int]:
-    sums = [0]
-    weight = 1
-    for j in range(1, k + 1):
-        sign = omega.sign_at(j) if omega else 1
-        step = sign * weight
-        sums = [x + step * l for x in sums for l in inst.L]
-        weight *= inst.M
-    return sums
-
-
 def spectrum_level(
     inst: ProblemInstance,
     t: int,
@@ -93,10 +82,8 @@ def spectrum_level(
     expected = len(inst.L) ** k
     if expected > DEFAULT_ELEMENT_BUDGET:
         raise BudgetExceeded("spectrum truncation elements", expected, DEFAULT_ELEMENT_BUDGET)
-    sums = _signed_sums(inst, k, omega)
-    if len(set(sums)) != expected:
-        raise AssertionError("digit expansion collision: truncation is not injective")
-    elements = tuple(sorted(t * x for x in sums))
+    scaled = ([(omega.sign_at(j) if omega else 1) * t * inst.M ** (j - 1) * l for l in inst.L] for j in range(1, k + 1))
+    elements = direct_sum(*scaled)
     return SpectrumTruncation(t=t, omega=omega, level=k, elements=elements)
 
 

@@ -410,6 +410,15 @@ def test_block_digits_are_derived_from_the_phases(inst12):
     assert system.phases == ((-99, -66, -33, 0), (0, 33, 66, 99))
     assert system.base == 144 and system.digits == spectrum_level(inst12, 11, 2, SignWord((1, -1))).elements
     assert build_graph(12, [0, 33, 66, 99]).digits == (0, 33, 66, 99)
+    # Every word of period at most 3 at both signs of t, on M = 12 and M = 54.  The graph of t is
+    # that of |t|, so its block digits are the elements of |t| Lambda_omega, those of t negated.
+    for inst in (inst12, build_instance(3, 2, 3, [1])):
+        for r in (1, 2, 3):
+            for omega in (SignWord.from_bits(r, bits) for bits in range(2**r)):
+                for t in (7, -7, 25, -25):
+                    elements = spectrum_level(inst, t, r, omega).elements
+                    digits = elements if t > 0 else tuple(-x for x in reversed(elements))
+                    assert scaled_system(inst, t, omega).digits == digits, (inst.M, omega, t)
 
 
 def test_integer_points_match_the_single_sided_oracle_on_random_digits():

@@ -681,6 +681,51 @@ def test_every_command_answers_or_refuses_with_checked_witnesses(argv):
             assert d not in level3 and all(zero_set_contains(inst, d - lam) for lam in level3), argv
 
 
+HUGE_T = st.integers(10**12, 10**60).flatmap(lambda n: st.sampled_from([str(n), f"-{n}", f"{n}/7", f"-7/{n}"]))
+BUDGET = st.sampled_from([3000, 1000, 100, 16, 4, 1])
+
+
+@st.composite
+def budgeted_invocations(draw):
+    """An argv of :func:`invocations` at a drawn node budget, its t sometimes huge, with or without --json."""
+    argv = draw(invocations())
+    if argv[-1].startswith("--node-budget="):
+        argv[-1] = f"--node-budget={draw(BUDGET)}"
+    if draw(st.integers(0, 3)) == 0:
+        argv = [f"--t={draw(HUGE_T)}" if token.startswith("--t=") else token for token in argv]
+    return argv + ["--json"] * (draw(st.integers(0, 3)) > 0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(budgeted_invocations())
+@example(["decide", *INST12, "--t=-11", "--node-budget=16", "--json"])
+@example(["search", *INST12, "--t-from=-40", "--t-to=40", "--node-budget=100", "--json"])
+@example(["decide", *INST12, f"--t=-{(12**8 - 1) // 11}", "--node-budget=3000", "--json"])
+@example(["signed", *INST54, "--t=53", "--omega=1,-1,1", "--node-budget=4", "--json"])
+def test_every_budget_answers_or_refuses_with_checked_witnesses(argv):
+    # The contract at small drawn budgets, where most large inputs are refused with exit 3.
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3), argv
+    assert (code == 0) == (err.getvalue() == ""), argv
+    if code:
+        assert err.getvalue().startswith("error: "), argv
+    if code or "--json" not in argv:
+        return
+    report = json.loads(out.getvalue())
+    assert all(abs(n) < 2**53 for n in json_integers(report)), argv
+    for cycle, base in cycles_with_bases(report):
+        witness = CycleWitness(tuple(map(int, cycle["nodes"])), tuple(map(int, cycle["digits"])))
+        assert witness.verify(base), argv
+    for decision in report.get("decisions") or [report.get("decision")]:
+        if decision and "missing_frequency" in decision:
+            inst = from_descriptor(report["instance"]["descriptor"])
+            d, t = int(decision["missing_frequency"]), int(decision["t"])
+            level3 = spectra.spectrum_level(inst, t, 3).elements
+            assert d not in level3 and all(zero_set_contains(inst, d - lam) for lam in level3), argv
+
+
 # --------------------------------------------------------------------------
 # The parser reads every argv as the standard library's parser does
 # --------------------------------------------------------------------------

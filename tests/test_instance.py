@@ -62,7 +62,7 @@ def test_digit_budget_guard(monkeypatch):
         raise AssertionError("the digit set was built past its budget")
 
     # 19 block exponents give 2**20 digits, one past the budget of 10**6.
-    monkeypatch.setattr(instance, "_direct_sum", refuse)
+    monkeypatch.setattr(instance, "direct_sum", refuse)
     with pytest.raises(InvalidParameters) as err:
         build_instance(2, 3, 25, list(range(1, 20)))
     assert err.value.codes == ["digit_budget"]
@@ -86,6 +86,15 @@ def test_direct_sum_matches_mixed_radix_enumeration(family):
         )
         assert list(inst.D) == rebuilt
         assert len(set(rebuilt)) == inst.N ** (inst.s + 1)
+
+
+def test_direct_sum_sorts_its_sums_and_refuses_a_repeated_one():
+    assert instance.direct_sum([3, -1, 2]) == (-1, 2, 3)
+    assert instance.direct_sum([0, 1], [0, 4], [-8, 8]) == (-8, -7, -4, -3, 8, 9, 12, 13)
+    assert instance.direct_sum() == (0,)
+    for sets in (([0, 1], [0, 1]), ([0, 2, 4], [0, 2]), ([5, 5],)):
+        with pytest.raises(ValueError, match="not direct"):
+            instance.direct_sum(*sets)
 
 
 def test_derived_relations(family):

@@ -104,7 +104,7 @@ def test_budget_and_zero_scaling(monkeypatch, inst12):
     def refuse(*args):
         raise AssertionError("the truncation was built past its budget")
 
-    monkeypatch.setattr(spectra, "_signed_sums", refuse)
+    monkeypatch.setattr(spectra, "direct_sum", refuse)
     with pytest.raises(BudgetExceeded, match="spectrum truncation elements: needs 1048576, budget is 1000000"):
         spectrum_level(inst12, 1, 10)
     with pytest.raises(ZeroScaling):

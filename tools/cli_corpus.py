@@ -15,13 +15,15 @@ runs share, so the paths in their messages agree.
 
 Every invocation whose stdout, stderr or exit code differs is printed with
 its first differing line, then a summary; the exit code is 1 when anything
-differs.  An invocation whose exit code and stderr agree and whose two
-stdouts parse as JSON of one structure (the same keys in the same order,
-the same list lengths, the same non-numeric values) differs only in its
-numbers.  Those are printed apart, with the largest ``|delta|`` per JSON
-path, list indices written ``[]`` (``probe.q_samples[].q: max 1.6e-11``).
-Nothing here touches the network or needs a package beyond the standard
-library.
+differs.  A differing stderr also shows the last line of each side, the
+``error:`` line, so a difference in the usage line above it does not hide
+whether the error itself agrees.  An invocation whose exit code and stderr
+agree and whose two stdouts parse as JSON of one structure (the same keys
+in the same order, the same list lengths, the same non-numeric values)
+differs only in its numbers.  Those are printed apart, with the largest
+``|delta|`` per JSON path, list indices written ``[]``
+(``probe.q_samples[].q: max 1.6e-11``).  Nothing here touches the network
+or needs a package beyond the standard library.
 """
 
 from __future__ import annotations
@@ -255,6 +257,11 @@ def first_difference(a: str, b: str) -> str:
     return "trailing whitespace"
 
 
+def last_line(text: str) -> str:
+    lines = text.splitlines()
+    return lines[-1] if lines else "<empty>"
+
+
 def numeric_drift(a: str, b: str) -> dict[str, float] | None:
     """Largest ``|delta|`` per JSON path when a and b are JSON of one structure, else None."""
     try:
@@ -310,6 +317,10 @@ def compare(old: Path, new: Path) -> int:
                 print(f"  exit code: {before['rc']!r} -> {after['rc']!r}")
             else:
                 print(f"  {key} {first_difference(before[key], after[key])}")
+            if key == "stderr":
+                left, right = last_line(before[key]), last_line(after[key])
+                verdict = "agrees" if left == right else "differs"
+                print(f"  stderr last line {verdict}: {left[:160]!r} -> {right[:160]!r}")
     largest: dict[str, float] = {}
     if drifting:
         print("numeric drift only (one JSON structure, same exit code and stderr):")
