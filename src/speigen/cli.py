@@ -2,8 +2,11 @@
 
 Subcommands: decide, search, signed, type2, attractor, zeroset, validate,
 reproduce-paper.  ``COMMANDS`` declares each one: its handler, its help
-line, the fields it reads and the message for a missing required field;
-``Parser`` reads argv from that table and ``FIELDS``.
+line, the fields it reads and the message for a missing required field.
+``Parser`` reads argv from that table and ``FIELDS``: a command followed by
+its own exact flags is read in place, and every other argv goes to the
+standard library's argparse, whose help, usage lines and error messages
+the user sees.
 Every field resolves one way: the flag, else the same key in the JSON
 config file (``--config``), else its default; ``--config`` and ``--json``
 are flag-only.  Flags arrive as text, and a field's converter
@@ -23,7 +26,6 @@ import functools
 import json
 import math
 import os
-import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -225,12 +227,12 @@ def _attractor(inst, t, omega, node_budget):
     cycle = attractor_mod.find_nonzero_cycle(system)
     report = {
         "t": str(t),
-        "graph": system.to_json_dict(),
+        "graph": system.to_json_dict,  # called only by --json, so a table never enumerates the block digits
         "integer_points": len(system.nodes),
         "cycle": cycle.to_json_dict() if cycle else None,
     }
     lines = [
-        f"base {system.base}, {len(system.digits)} digits, candidates [{system.lo}, {system.hi}]",
+        f"base {system.base}, {blocks} digits, candidates [{system.lo}, {system.hi}]",
         f"integer points ({len(system.nodes)}): {list(system.nodes)}",
         f"edges: {len(system.edges)}",
         f"nonzero cycle: {f'nodes {list(cycle.nodes)} digits {list(cycle.digits)}' if cycle else 'none'}",
@@ -442,145 +444,77 @@ CONFIG_KEYS = {
 
 PROG = "speigen"
 DESCRIPTION = "Exact scaling-eigenvalue decisions for product-form self-similar spectral measures."
-HELP = "help"  # the option key of -h and --help
-_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
 class Parser:
     """argv -> namespace over ``COMMANDS`` and ``FIELDS``.
 
-    The first value names the command; before it only ``-h``/``--help`` is
-    an option.  An option is a flag, ``-h``/``--help`` or a unique prefix of
-    a long flag (``--node``), and takes its value from ``--flag=value`` or
-    from the next token.  A token that starts with ``-`` is a value only when
-    it is ``-``, a negative number (``-3``, ``-.5``) or contains a space, so
-    ``--t -3/5`` lacks its value.  The last value of a flag wins, ``--json``
-    is a switch, and ``--`` ends the options: it and every token after it are
-    left over.  Every token is read before any is used, so an ambiguous
-    prefix fails first.  The namespace holds ``command`` and each field of
-    the command, None when absent (``json`` False).  A usage error prints a
-    usage line and ``prog: error: message`` to stderr and raises
-    ``SystemExit(2)``; help goes to stdout and raises ``SystemExit(0)``.
-    The rules and the error phrases are those of the standard library's
-    argument parser, so both read every argv alike.
+    An argv that is a command name followed only by that command's own
+    flags, each as ``--flag=value`` (any value), as ``--flag value`` (a
+    value that does not start with ``-``) or as the switch ``--json``, is
+    read here, and the last value of a repeated flag wins.  The standard
+    library's argparse reads each of those tokens the same way, and it reads
+    every other argv: help, prefixes, values that start with ``-``, ``--``,
+    stray tokens and every usage error.  It is built from the same table on
+    first use, so an exact argv never imports it, and help, usage lines and
+    error messages are its own.  The namespace holds ``command`` and each
+    field of the command, None when absent (``json`` False).
     """
 
     def __init__(self):
-        self.top = {"-h": HELP, "--help": HELP}
-        self.options = {
-            name: {**self.top, **{f.flag: key for key, f in FIELDS.items() if key in c.flags or key in FLAG_ONLY}}
+        self.flags = {
+            name: {f.flag: key for key, f in FIELDS.items() if key in c.flags or key in FLAG_ONLY}
             for name, c in COMMANDS.items()
-        }
-        # The namespace of each command before any token is read.
-        self.blank = {
-            name: {"command": name, **{key: False if key == SWITCH else None for key in self._keys(name)}}
-            for name in COMMANDS
         }
 
     def parse_args(self, argv: Optional[list[str]] = None) -> SimpleNamespace:
         argv = sys.argv[1:] if argv is None else list(argv)
-        left = []  # tokens nothing reads, reported once the command has parsed
-        i = 0
-        while i < len(argv) and argv[i] != "--" and (option := self._option(argv[i], None)) is not None:
-            if option[0] is None:
-                left.append(argv[i])
-            else:
-                self._help(option, None)
-            i += 1
-        # The command is the first value, or a "--" with a token after it.
-        if i + (argv[i : i + 1] == ["--"]) >= len(argv):
-            self._error("the following arguments are required: command")
-        name, rest = argv[i], argv[i + 1 :]
-        if name not in self.options:
-            choices = ", ".join(map(repr, COMMANDS))
-            self._error(f"argument command: invalid choice: {name!r} (choose from {choices})")
-        end = rest.index("--") if "--" in rest else len(rest)
-        read = [self._option(token, name) for token in rest[:end]]
-        namespace = dict(self.blank[name])
-        j = 0
-        while j < end:
-            if read[j] is None or read[j][0] is None:
-                left.append(rest[j])
-            elif read[j][0] == HELP:
-                self._help(read[j], name)
-            else:
-                key, flag, value = read[j]
-                if key == SWITCH:
-                    if value is not None:
-                        self._error(f"argument {flag}: ignored explicit argument {value!r}", name)
-                    value = True
-                elif value is None:
-                    if j + 1 == end or read[j + 1] is not None:
-                        self._error(f"argument {flag}: expected one argument", name)
-                    j += 1
-                    value = rest[j]
-                namespace[key] = value
-            j += 1
-        left += rest[end:]
-        if left:
-            self._error(f"unrecognized arguments: {' '.join(left)}")
+        namespace = self._exact(argv)
+        if namespace is None:
+            # argparse stores the value of "--flag=--" as [], which no converter
+            # reads; as text "--" it is refused with the field's own message.
+            parsed = vars(self.fallback.parse_args(argv))
+            namespace = {key: "--" if value == [] else value for key, value in parsed.items()}
         return SimpleNamespace(**namespace)
 
-    def _option(self, token: str, name: Optional[str]) -> Optional[tuple]:
-        """None for a value, else (key, flag, value given with it or None); key None is an unknown option."""
-        options = self.top if name is None else self.options[name]
-        if not token or token[0] != "-":
+    def _exact(self, argv: list[str]) -> Optional[dict]:
+        """The namespace of an argv of exact flags only, or None for argparse to read."""
+        flags = self.flags.get(argv[0]) if argv else None
+        if flags is None:
             return None
-        if token in options:
-            return options[token], token, None
-        if len(token) == 1:
-            return None
-        head, eq, value = token.partition("=")
-        if eq and head in options:
-            return options[head], head, value
-        if token[1] == "-":
-            matches = [(flag, value if eq else None) for flag in options if flag.startswith(head)]
-        else:  # a short option with text glued on, as "-hx"
-            matches = [(flag, token[2:]) for flag in options if flag == token[:2]]
-        if len(matches) > 1:
-            self._error(f"ambiguous option: {token} could match {', '.join(flag for flag, _ in matches)}", name)
-        if matches:
-            ((flag, value),) = matches
-            return options[flag], flag, value
-        if _NEGATIVE_NUMBER.match(token) or " " in token:
-            return None
-        return None, token, None
+        namespace = {"command": argv[0], **dict.fromkeys(flags.values()), SWITCH: False}
+        i, end = 1, len(argv)
+        while i < end:
+            flag, eq, value = argv[i].partition("=")
+            key = flags.get(flag)
+            if key is None:
+                return None
+            if key == SWITCH:
+                if eq:
+                    return None
+                value = True
+            elif not eq:
+                i += 1
+                if i == end or argv[i].startswith("-"):
+                    return None
+                value = argv[i]
+            namespace[key] = value
+            i += 1
+        return namespace
 
-    def _help(self, option: tuple, name: Optional[str]):
-        """Print the help of the parser or of one command and exit 0, or refuse a value given to -h/--help."""
-        _, flag, value = option
-        if value and flag == "-h":
-            value = value.lstrip("h") or None  # "-hh" is -h twice
-        if value is not None:
-            self._error(f"argument -h/--help: ignored explicit argument {value!r}", name)
-        own = [("-h, --help", "show this help and exit")]
-        if name is None:
-            text, sections = [DESCRIPTION], [("commands", [(n, c.help) for n, c in COMMANDS.items()]), ("options", own)]
-        else:
-            fields = [(self._metavar(key), FIELDS[key].help) for key in self._keys(name)]
-            text, sections = [COMMANDS[name].help], [("options", own + fields)]
-        width = max(len(left) for _, rows in sections for left, _ in rows) + 2
-        for title, rows in sections:
-            text += ["", f"{title}:", *(f"  {left:<{width}}{right}" for left, right in rows)]
-        print("\n".join([self._usage(name), "", *text]))
-        raise SystemExit(EXIT_OK)
+    @functools.cached_property
+    def fallback(self):
+        """The standard library parser over the same table."""
+        import argparse
 
-    def _keys(self, name: str) -> list[str]:
-        return [key for key in self.options[name].values() if key != HELP]
-
-    @staticmethod
-    def _metavar(key: str) -> str:
-        return FIELDS[key].flag if key == SWITCH else f"{FIELDS[key].flag} {key.upper()}"
-
-    def _usage(self, name: Optional[str]) -> str:
-        if name is None:
-            return f"usage: {PROG} [-h] {{{','.join(COMMANDS)}}} ..."
-        return " ".join([f"usage: {PROG} {name} [-h]", *(f"[{self._metavar(key)}]" for key in self._keys(name))])
-
-    def _error(self, message: str, name: Optional[str] = None):
-        prog = PROG if name is None else f"{PROG} {name}"
-        print(f"{self._usage(name)}\n{prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_INVALID)
+        parser = argparse.ArgumentParser(prog=PROG, description=DESCRIPTION)
+        sub = parser.add_subparsers(dest="command", required=True)
+        for name, command in COMMANDS.items():
+            cmd = sub.add_parser(name, help=command.help)
+            for key in self.flags[name].values():
+                spec = FIELDS[key]
+                cmd.add_argument(spec.flag, help=spec.help, **({"action": "store_true"} if key == SWITCH else {}))
+        return parser
 
 
 @functools.cache
@@ -640,8 +574,13 @@ def dispatch(args: SimpleNamespace) -> int:
     except SpeigenError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET if isinstance(exc, BudgetExceeded) else EXIT_INVALID
-    # One encoder and fixed options keep the JSON report byte-stable.
-    print(json.dumps(report, indent=2, ensure_ascii=False) if args.json else "\n".join(lines))
+    if args.json:
+        # A callable field is an export that only JSON writes.  One encoder and
+        # fixed options keep the JSON report byte-stable.
+        report = {key: value() if callable(value) else value for key, value in report.items()}
+        print(json.dumps(report, indent=2, ensure_ascii=False))
+    else:
+        print("\n".join(lines))
     return EXIT_OK
 
 

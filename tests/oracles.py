@@ -7,6 +7,8 @@ import argparse
 import cmath
 import functools
 import math
+from bisect import bisect_left, bisect_right
+from collections import deque
 
 import numpy as np
 
@@ -102,6 +104,43 @@ def companion_valuation_check(inst, t: int) -> bool:
     allowed = set(inst.exponents)
     diffs = {b1 - b2 for b1 in inst.B for b2 in inst.B if b1 > b2}
     return all(nadic_split(abs(t) * diff, inst.N)[0] in allowed for diff in diffs)
+
+
+def dense_integer_points(b, C):
+    """Reference enumeration: the worklist fixpoint over the whole candidate interval.
+
+    Every integer of ``[ceil(min C / (b-1)), floor(max C / (b-1))]`` starts
+    alive with its out-degree; zero-degree nodes are removed and their
+    predecessors decremented until nothing changes.  O(width) work.
+    """
+    digits = sorted(set(C))
+    lo = -((-digits[0]) // (b - 1))
+    hi = digits[-1] // (b - 1)
+    if hi < lo:
+        return ()
+    count = hi - lo + 1
+    alive = bytearray([1]) * count
+    degree = [0] * count
+    dead = deque()
+    for i in range(count):
+        z = lo + i
+        degree[i] = bisect_right(digits, b * z - lo) - bisect_left(digits, b * z - hi)
+        if degree[i] == 0:
+            alive[i] = 0
+            dead.append(i)
+    by_residue = {}
+    for c in digits:
+        by_residue.setdefault(c % b, []).append(c)
+    while dead:
+        y = lo + dead.popleft()
+        for c in by_residue.get((-y) % b, ()):
+            x = (y + c) // b
+            if lo <= x <= hi and alive[x - lo]:
+                degree[x - lo] -= 1
+                if degree[x - lo] == 0:
+                    alive[x - lo] = 0
+                    dead.append(x - lo)
+    return tuple(lo + i for i in range(count) if alive[i])
 
 
 def bfs_least_cycle(system):

@@ -17,7 +17,6 @@ from speigen import (
     decide_second_type,
     find_sign_word,
     hadamard_check_exact,
-    integer_points,
     q_function,
     shortcut_divisor,
     spectrum_level,
@@ -25,7 +24,7 @@ from speigen import (
     zero_set_contains,
 )
 
-from oracles import hadamard_check_numeric
+from oracles import dense_integer_points, hadamard_check_numeric
 
 # Frozen floor: extended-precision minimum of Q_6 over the 25-point grid
 # (0.999999035611738273) minus a 1e-9 safety margin.
@@ -108,7 +107,7 @@ def test_criterion_06_graph_equals_word_oracle(family_small):
                     word_verdict = Verdict.NOT_SPECTRUM
                 else:
                     digits = [abs(t) * l for l in inst.L]
-                    bound = len(integer_points(inst.M, digits))
+                    bound = len(dense_integer_points(inst.M, digits))
                     witness = word_witness_search(inst.M, digits, max(1, bound), word_budget=10**8)
                     word_verdict = Verdict.NOT_SPECTRUM if witness else Verdict.SPECTRUM
                 if graph_verdict is not word_verdict:

@@ -1,7 +1,7 @@
 import math
 import random
 from bisect import bisect_left, bisect_right
-from collections import Counter, deque
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +23,7 @@ from speigen.attractor import _phase_intervals, _split
 from speigen.eigen import Verdict, decide_scaling, scaled_system
 
 from conftest import instance_family
-from oracles import bfs_least_cycle
+from oracles import bfs_least_cycle, dense_integer_points
 
 
 def thin(points, gap):
@@ -63,43 +63,6 @@ def brute_force_members(b, digits, lo, hi):
     for _ in range(hi - lo + 2):
         alive = {z for z in alive if any(b * z - c in alive for c in digits)}
     return alive
-
-
-def dense_integer_points(b, C):
-    """Reference enumeration: the worklist fixpoint over the whole candidate interval.
-
-    Every integer of ``[ceil(min C / (b-1)), floor(max C / (b-1))]`` starts
-    alive with its out-degree; zero-degree nodes are removed and their
-    predecessors decremented until nothing changes.  O(width) work.
-    """
-    digits = sorted(set(C))
-    lo = -((-digits[0]) // (b - 1))
-    hi = digits[-1] // (b - 1)
-    if hi < lo:
-        return ()
-    count = hi - lo + 1
-    alive = bytearray([1]) * count
-    degree = [0] * count
-    dead = deque()
-    for i in range(count):
-        z = lo + i
-        degree[i] = bisect_right(digits, b * z - lo) - bisect_left(digits, b * z - hi)
-        if degree[i] == 0:
-            alive[i] = 0
-            dead.append(i)
-    by_residue = {}
-    for c in digits:
-        by_residue.setdefault(c % b, []).append(c)
-    while dead:
-        y = lo + dead.popleft()
-        for c in by_residue.get((-y) % b, ()):
-            x = (y + c) // b
-            if lo <= x <= hi and alive[x - lo]:
-                degree[x - lo] -= 1
-                if degree[x - lo] == 0:
-                    alive[x - lo] = 0
-                    dead.append(x - lo)
-    return tuple(lo + i for i in range(count) if alive[i])
 
 
 def single_sided_integer_points(b, C):

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -359,6 +360,45 @@ def test_user_input_errors_from_the_library_keep_their_messages(capsys):
         assert reason_codes(argv) == [reason]
 
 
+def test_each_refused_field_is_named_by_its_reason_code(tmp_path):
+    # One bad value in one field at a time; the code is the field's key or starts with it and "_".
+    cases = {
+        "t": ["decide", *INST12, "--t=x"],
+        "t_from": ["search", *INST12, "--t-from=x", "--t-to=3"],
+        "t_to": ["search", *INST12, "--t-from=1", "--t-to=x"],
+        "omega": ["signed", *INST12, "--t=11", "--omega=1,0"],
+        "node_budget": ["decide", *INST12, "--t=11", "--node-budget=0"],
+        "tol": ["validate", *INST12, "--t=11", "--tol=x"],
+        "r_max": ["type2", *INST12, "--t=3/5", "--r-max=0"],
+        "N": ["decide", "--N=x", "--R=3", "--q=2", "--p=1", "--t=3"],
+        "R": ["decide", "--N=2", "--R=x", "--q=2", "--p=1", "--t=3"],
+        "q": ["decide", "--N=2", "--R=3", "--q=x", "--p=1", "--t=3"],
+        "p": ["decide", "--N=2", "--R=3", "--q=2", "--p=x", "--t=3"],
+        "example": ["reproduce-paper", "--example=x"],
+        "config": ["decide", *INST12, "--t=11", f"--config={tmp_path / 'missing.json'}"],
+    }
+    for key, argv in cases.items():
+        code = reason_codes(argv)[0]
+        named = [field for field in FIELDS if code == field or code.startswith(field + "_")]
+        assert max(named, key=len) == key, (argv, code)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["decide", *INST12, "--t=--"], "error: not a rational number: '--'"),
+        (["decide", *INST12[:6], "--p=--", "--t", "3"], "error: p must be a comma list of integers: '--'"),
+        (["reproduce-paper", "--config=--"], "error: cannot read config file: [Errno 2] No such file or directory: '--'"),
+    ],
+)
+def test_a_double_dash_value_is_refused_by_its_field(capsys, argv, message):
+    # argparse stores "--flag=--" as []; the parser hands it on as the text "--" on both paths.
+    for extra in ([], ["--js"]):  # a prefix of --json sends the argv to argparse
+        assert (build_parser()._exact(argv + extra) is None) == bool(extra)
+        code, out, err = run_cli(capsys, argv + extra)
+        assert (code, out, err) == (2, "", message + "\n"), argv + extra
+
+
 def test_validate_beyond_float_range_reports_the_probe_unavailable(capsys):
     cases = [
         (["--N", "2", "--R", "3", "--q", "60", "--p", "1"], "M = 3458764513820540928 exceeds"),
@@ -584,49 +624,84 @@ GOOD_T = st.one_of(
     st.builds(lambda a, b: f"{a}/{b}", st.integers(-60, 60), st.integers(1, 12)),
 )
 BAD_T = st.sampled_from(["", "abc", "1/0", "2.5.1", "1e3", "--", "0x11"])
+HUGE_T = st.integers(10**12, 10**60).flatmap(lambda n: st.sampled_from([str(n), f"-{n}", f"{n}/7", f"-7/{n}"]))
+BUDGET = st.sampled_from([3000, 1000, 100, 16, 4, 1])
 
 
 @st.composite
-def instance_flags(draw):
-    """Valid instances with N in {2, 3}, q <= 3 and s <= 1, or a malformed descriptor."""
+def instance_fields(draw):
+    """Valid instances with N in {2, 3}, q <= 3 and s <= 1, or a malformed descriptor; with M of the valid one."""
     N, q = draw(st.sampled_from([2, 3])), draw(st.integers(1, 3))
     R = draw(st.sampled_from([3, 5, 7, 15] if N == 2 else [2, 5, 7, 10]))
     p = draw(st.sampled_from([""] + [str(a) for a in range(1, q)]))
-    flags = {"N": str(N), "R": str(R), "q": str(q), "p": p}
+    fields = {"N": str(N), "R": str(R), "q": str(q), "p": p}
     fault = draw(st.sampled_from([None] * 12 + ["type", "small_N", "gcd", "unordered"]))
     if fault == "type":
         key = draw(st.sampled_from(["N", "R", "q", "p"]))
-        flags[key] = draw(st.sampled_from(["x", "2.5", "", "1,x"]))
+        fields[key] = draw(st.sampled_from(["x", "2.5", "", "1,x"]))
     elif fault == "small_N":
-        flags["N"] = draw(st.sampled_from(["1", "0", "-2"]))
+        fields["N"] = draw(st.sampled_from(["1", "0", "-2"]))
     elif fault == "gcd":
-        flags["R"] = str(N * draw(st.integers(1, 5)))
+        fields["R"] = str(N * draw(st.integers(1, 5)))
     elif fault == "unordered":
-        flags.update(q="3", p="2,1")
-    return [f"--{key}={value}" for key, value in flags.items()]
+        fields.update(q="3", p="2,1")
+    return fields, N, R * N**q
+
+
+def failing_scalings(N, M):
+    """Scalings t = +-(M - 1) * k with k coprime to N, which fail with a cycle.
+
+    Each ``t * l / (M - 1)`` with l in L is a fixed point, nonzero for l nonzero.
+    """
+    k = st.sampled_from([k for k in range(1, 6) if math.gcd(k, N) == 1])
+    return st.builds(lambda sign, k: sign * (M - 1) * k, st.sampled_from([1, -1]), k)
 
 
 @st.composite
-def invocations(draw):
-    """One argv for any subcommand, with every value passed as --flag=value."""
+def written(draw, command, fields):
+    """The argv tokens of these fields of a command, each as --flag=value, as --flag value or as a unique prefix."""
+    own = [FIELDS[key].flag for key in (*COMMANDS[command].flags, *FLAG_ONLY)] + ["--help"]
+    tokens = []
+    for key, value in fields.items():
+        flag, value = FIELDS[key].flag, str(value)
+        prefixes = [flag[:n] for n in range(3, len(flag)) if sum(f.startswith(flag[:n]) for f in own) == 1]
+        form = draw(st.sampled_from(["=", "=", "space", "prefix"]))
+        if form == "space" and not value.startswith("-"):
+            tokens += [flag, value]
+        else:
+            tokens.append(f"{draw(st.sampled_from(prefixes)) if form == 'prefix' and prefixes else flag}={value}")
+    return tokens
+
+
+@st.composite
+def invocations(draw, budget=st.just(2000), huge=False):
+    """One argv for any subcommand, each value written by :func:`written`.
+
+    ``t`` is sometimes a scaling known to fail, and with ``huge`` sometimes
+    beyond ``10**12``; the node budget is drawn from ``budget``.
+    """
     command = draw(st.sampled_from(list(COMMANDS)))
     if command == "reproduce-paper":
-        return [command] + draw(st.sampled_from([[], ["--example=5.4"], ["--example=5.3"], ["--example=9.9"]]))
-    argv = [command, *draw(instance_flags())]
+        example = draw(st.sampled_from([None, "5.4", "5.3", "9.9"]))
+        return [command, *draw(written(command, {} if example is None else {"example": example}))]
+    fields, N, M = draw(instance_fields())
     flags = COMMANDS[command].flags
     if command == "search":
-        start = draw(st.integers(-300, 300) | st.sampled_from([10**12, -(10**12)]))
-        argv += [f"--t-from={start}", f"--t-to={start + draw(st.integers(-1, 40))}"]
+        start = draw(st.integers(-300, 300) | st.sampled_from([10**12, -(10**12)]) | failing_scalings(N, M))
+        fields.update(t_from=start, t_to=start + draw(st.integers(-1, 40)))
+    elif huge and draw(st.integers(0, 3)) == 0:
+        fields["t"] = draw(HUGE_T)
     else:
-        argv.append(f"--t={draw(GOOD_T) if draw(st.integers(0, 9)) else draw(BAD_T)}")
+        kind = draw(st.integers(0, 9))
+        fields["t"] = draw(BAD_T if kind == 0 else failing_scalings(N, M) if kind <= 3 else GOOD_T)
     if "omega" in flags and (command == "signed" or draw(st.booleans())):
         word = draw(st.lists(st.sampled_from([1, -1]), min_size=1, max_size=4))
-        argv.append("--omega=" + (",".join(map(str, word)) if draw(st.integers(0, 9)) else "1,2"))
+        fields["omega"] = ",".join(map(str, word)) if draw(st.integers(0, 9)) else "1,2"
     if "r_max" in flags and draw(st.booleans()):
-        argv.append(f"--r-max={draw(st.integers(0, 3))}")
+        fields["r_max"] = draw(st.integers(0, 3))
     if "node_budget" in flags:
-        argv.append("--node-budget=2000")
-    return argv
+        fields["node_budget"] = draw(budget)
+    return [command, *draw(written(command, fields))]
 
 
 def cycles_with_bases(report):
@@ -681,19 +756,10 @@ def test_every_command_answers_or_refuses_with_checked_witnesses(argv):
             assert d not in level3 and all(zero_set_contains(inst, d - lam) for lam in level3), argv
 
 
-HUGE_T = st.integers(10**12, 10**60).flatmap(lambda n: st.sampled_from([str(n), f"-{n}", f"{n}/7", f"-7/{n}"]))
-BUDGET = st.sampled_from([3000, 1000, 100, 16, 4, 1])
-
-
 @st.composite
 def budgeted_invocations(draw):
     """An argv of :func:`invocations` at a drawn node budget, its t sometimes huge, with or without --json."""
-    argv = draw(invocations())
-    if argv[-1].startswith("--node-budget="):
-        argv[-1] = f"--node-budget={draw(BUDGET)}"
-    if draw(st.integers(0, 3)) == 0:
-        argv = [f"--t={draw(HUGE_T)}" if token.startswith("--t=") else token for token in argv]
-    return argv + ["--json"] * (draw(st.integers(0, 3)) > 0)
+    return draw(invocations(BUDGET, huge=True)) + ["--json"] * (draw(st.integers(0, 3)) > 0)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -796,7 +862,17 @@ def test_a_decide_never_imports_argparse():
         "with redirect_stdout(io.StringIO()):\n"
         "    code = speigen.cli.main(['decide', '--N', '2', '--R', '3', '--q', '2', '--p', '1', '--t', '1000003'])\n"
         "print(code, 'argparse' in sys.modules)\n"
+        "inst = ['--N', '2', '--R', '3', '--q', '2', '--p', '1']\n"
+        "exact = [\n"
+        "    ['signed', *inst, '--t', '11', '--omega=-1,1'],\n"
+        "    ['type2', *inst, '--t', '3/5', '--r-max', '3'],\n"
+        "    ['validate', *inst, '--t', '11'],\n"
+        "]\n"
+        "with redirect_stdout(io.StringIO()):\n"
+        "    codes = [speigen.cli.main(argv) for argv in exact]\n"
+        "print(codes, 'argparse' in sys.modules)\n"
     )
     proc = run_fresh("-c", script)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "False"]
+    assert proc.stdout.splitlines()[0].split() == ["0", "False"]
+    assert proc.stdout.splitlines()[1] == "[0, 0, 0] False"

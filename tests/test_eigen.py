@@ -18,7 +18,6 @@ from speigen import (
     decide_scaling_signed,
     decide_second_type,
     find_sign_word,
-    integer_points,
     search_eigenvalues,
     shortcut_divisor,
     spectrum_level,
@@ -27,7 +26,7 @@ from speigen import (
 )
 
 from conftest import instance_family
-from oracles import first_sign_word
+from oracles import dense_integer_points, first_sign_word
 
 
 def word_based_decision(inst, t):
@@ -37,7 +36,7 @@ def word_based_decision(inst, t):
     if math.gcd(abs(t), inst.N) != 1:
         return Verdict.NOT_SPECTRUM
     digits = [abs(t) * l for l in inst.L]
-    bound = len(integer_points(inst.M, digits))
+    bound = len(dense_integer_points(inst.M, digits))
     witness = word_witness_search(inst.M, digits, max(1, bound), word_budget=10**8)
     return Verdict.NOT_SPECTRUM if witness else Verdict.SPECTRUM
 
@@ -47,7 +46,7 @@ def signed_word_based_decision(inst, t, omega):
         return Verdict.NOT_SPECTRUM
     base = inst.M**omega.r
     digits = spectrum_level(inst, abs(t), omega.r, omega).elements
-    bound = len(integer_points(base, digits))
+    bound = len(dense_integer_points(base, digits))
     witness = word_witness_search(base, digits, max(1, bound), word_budget=10**8)
     return Verdict.NOT_SPECTRUM if witness else Verdict.SPECTRUM
 

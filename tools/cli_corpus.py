@@ -219,6 +219,10 @@ def corpus(config_dir: Path) -> list[list[str]]:
         ["decide", *INST12, "--t", "-"],
         ["decide", *INST12, "--t", "- 3"],
         ["decide", *INST12, "--t", "-.5"],
+        # A "--" value, read in place and, with "--t -3", by argparse.
+        ["decide", *INST12, "--t=--"],
+        ["reproduce-paper", "--config=--"],
+        ["decide", *INST12[:6], "--p=--", "--t", "-3"],
         *([name, "--help"] for name in COMMANDS),
     ):
         calls.append(argv)
