@@ -12,6 +12,8 @@ scaled argument reduced to ``[-1/2, 1/2]``, so a product of blocks is a
 signed real amplitude times ``e^(i pi * phase)``, where ``phase`` is the sum
 of the ``(n - 1) r``.  The kernel returns those two real arrays; the
 completeness functional needs only ``amp**2`` and never builds the phase.
+The batch walks its levels as one: a frequency whose tail bound is already
+below the tolerance takes the argument 0, whose factor is exactly 1.
 The exact integer machinery elsewhere in the package never goes through here:
 unbounded integers stay in Python, and all certificates stay exact.  This is
 the one module of the package that imports numpy when it loads; the batched
@@ -87,51 +89,42 @@ def fourier_products(
     """Truncated products prod_{k<=K} m_D(x / M**k) with per-x tail bound < tol.
 
     Returns the signed amplitude and the summed phase of the product; its
-    value is ``amp * e^(i pi * phase)``.  The frequencies are sorted once by
-    tail bound, largest first, so the ones still above ``tol`` at each level
-    are a prefix; one scatter restores the input order.  Every operation is
-    elementwise, so a frequency's value does not depend on its batch.
+    value is ``amp * e^(i pi * phase)``.  Every frequency walks every level
+    of the batch's largest tail bound: once its own bound has dropped below
+    ``tol``, its argument is 0, whose factor is exactly 1 and whose phase is
+    exactly 0, so the product and the phase sum keep their bits.  Bounds only
+    shrink and ``0 / M`` stays 0, so a finished frequency stays finished.
+    Every operation is elementwise, so a frequency's value does not depend
+    on its batch.
 
     The level loop only divides: the arguments ``x / M**k`` of consecutive
-    levels go back to back into one array, up to :data:`LEVEL_BLOCK` of
-    them, and one :func:`mask_factors` call evaluates the whole group.  A
-    level costs a few numpy calls instead of the twenty of a mask step, and
-    each frequency still multiplies its level factors in level order.
+    levels are the rows of one ``(rows, n)`` array, ``rows * n`` at most
+    :data:`LEVEL_BLOCK` (one level at least), and one :func:`mask_factors`
+    call evaluates the whole group.  A level costs a few numpy calls instead
+    of the twenty of a mask step, and each frequency still multiplies its
+    level factors in level order.
     """
     xs = np.asarray(xs, dtype=np.float64)
     m_scale, max_digit, tol = float(m_scale), float(max_digit), float(tol)
     tails = TWO_PI * max_digit * np.abs(xs.ravel()) / (m_scale - 1.0)
-    order = np.argsort(-tails, kind="stable")
-    ys = xs.ravel()[order]
-    tails = tails[order]
-    amp = np.ones(ys.shape, dtype=np.float64)
-    phase = np.zeros(ys.shape, dtype=np.float64)
-    sizes = []  # sizes[k]: the prefix of frequencies that take level k + 1
-    n = int(np.count_nonzero(tails >= tol))
-    while n:
-        sizes.append(n)
-        tails[:n] /= m_scale
-        n = int(np.count_nonzero(tails[:n] >= tol))
-    groups: list[list[int]] = []  # consecutive levels, at most LEVEL_BLOCK arguments or one level each
-    for n in sizes:
-        if not groups or sum(groups[-1]) + n > LEVEL_BLOCK:
-            groups.append([])
-        groups[-1].append(n)
-    width = max(map(sum, groups), default=0)
-    args, buffers = np.empty(width, dtype=np.float64), _buffers(width)
-    for group in groups:
-        start, previous = 0, ys
-        for n in group:
-            previous = np.divide(previous[:n], m_scale, out=args[start : start + n])
-            start += n
-        ys[: previous.size] = previous  # the next group divides on from the group's last level
-        level_amp, level_phase = mask_factors(args[:start], scales, counts, buffers)
-        start = 0
-        for n in group:
-            amp[:n] *= level_amp[start : start + n]
-            phase[:n] += level_phase[start : start + n]
-            start += n
-    out_amp, out_phase = np.empty_like(amp), np.empty_like(phase)
-    out_amp[order] = amp
-    out_phase[order] = phase
-    return out_amp.reshape(xs.shape), out_phase.reshape(xs.shape)
+    amp = np.ones(tails.size, dtype=np.float64)
+    phase = np.zeros(tails.size, dtype=np.float64)
+    levels, top = 0, float(tails.max(initial=0.0))
+    while top >= tol:  # the largest bound divides as each frequency's does, so it counts the levels
+        levels, top = levels + 1, top / m_scale
+    if levels:
+        rows = min(levels, max(1, LEVEL_BLOCK // tails.size))
+        args, buffers = np.empty((rows, tails.size), dtype=np.float64), _buffers(rows * tails.size)
+        active = np.empty(tails.size, dtype=bool)
+        previous = xs.ravel()
+        for first in range(0, levels, rows):
+            group = args[: levels - first]
+            for row in group:
+                previous = np.divide(previous, m_scale, out=row)
+                row *= np.greater_equal(tails, tol, out=active)
+                tails /= m_scale
+            level_amp, level_phase = mask_factors(group, scales, counts, buffers)
+            for row_amp, row_phase in zip(level_amp, level_phase):
+                amp *= row_amp
+                phase += row_phase
+    return amp.reshape(xs.shape), phase.reshape(xs.shape)

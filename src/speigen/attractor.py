@@ -156,11 +156,14 @@ def _split(b: int, count: int, width: int) -> tuple[int, int]:
     ``#C**k`` residues.  L is the least with the candidates no more than
     ``#C**(k+1)``, split as ``h = L // 2`` and ``k = L - h``.  ``L = 0`` is
     the plain scan of the interval, where a short interval with many digits
-    stops.
+    stops.  Both sides are running products: a level multiplies each by a
+    small integer instead of raising powers of the width's size afresh.
     """
-    levels = 0
-    while width * count**levels > count ** ((levels + 1) // 2 + 1) * b**levels:
+    levels, left, right = 0, width, count  # width * #C**L and #C**((L+1)//2 + 1) * b**L
+    while left > right:
         levels += 1
+        left *= count
+        right *= b * count if levels % 2 else b
     return levels // 2, levels - levels // 2
 
 

@@ -56,11 +56,11 @@ class EigenDecision:
 
     ``integer_point_count`` is the size of the pruned integer-point set when
     a graph was built (the word-length bound of the decision criterion);
-    ``missing_frequency`` is ``-sign(t) * eta_1`` for the returned cycle in
-    the plain unsigned case: a frequency orthogonal to the whole scaled set
-    yet outside it, certifying non-maximality.  The graph is that of
-    ``|t|``, and ``t * Lambda = sign(t) * |t| * Lambda``, so the frequency
-    flips with the sign of t.
+    ``missing_frequency`` is ``-sign(t) * eta_1`` for the returned cycle of
+    an unsigned decision: a frequency orthogonal to the whole scaled set yet
+    outside it, certifying non-maximality.  The graph is that of ``|t|``,
+    and ``t * Lambda = sign(t) * |t| * Lambda``, so the frequency flips with
+    the sign of t.  Signed verdicts do not report a missing frequency yet.
     """
 
     t: int | Fraction
@@ -174,9 +174,8 @@ def decide_scaling_signed(
     """Same cycle criterion for the sign-twisted spectrum of a periodic word.
 
     One period of length r acts as block digits over the base M**r, and the
-    graph is built from its r phases (:func:`scaled_system`); no missing
-    frequency is reported for signed verdicts (the unsigned construction
-    does not carry over).
+    graph is built from its r phases (:func:`scaled_system`).  Signed
+    verdicts do not report a missing frequency yet.
     """
     if not isinstance(t, int) or isinstance(t, bool):
         raise TypeError("scaling t must be an integer for signed decisions")

@@ -106,6 +106,14 @@ def companion_valuation_check(inst, t: int) -> bool:
     return all(nadic_split(abs(t) * diff, inst.N)[0] in allowed for diff in diffs)
 
 
+def split_reference(b, count, width):
+    """The (h, k) split of ``attractor._split`` with both sides recomputed as powers at every level."""
+    levels = 0
+    while width * count**levels > count ** ((levels + 1) // 2 + 1) * b**levels:
+        levels += 1
+    return levels // 2, levels - levels // 2
+
+
 def dense_integer_points(b, C):
     """Reference enumeration: the worklist fixpoint over the whole candidate interval.
 
@@ -141,6 +149,32 @@ def dense_integer_points(b, C):
                     alive[x - lo] = 0
                     dead.append(x - lo)
     return tuple(lo + i for i in range(count) if alive[i])
+
+
+def multiplicative_order(t, b):
+    """The least m >= 1 with b**m = 1 (mod |t|), for t coprime to b."""
+    modulus, m, power = abs(t), 1, b % abs(t)
+    while power != 1 % modulus:
+        m, power = m + 1, power * b % modulus
+    return m
+
+
+def cycle_length_bound(b, t, digits, word_budget):
+    """A word length that the least cycle of the graph of ``digits = |t| * C`` over the base b cannot exceed.
+
+    When ``gcd(t, b) = 1``, every cycle length divides ``m = ord_|t|(b)``:
+    an integer point is ``|t| x`` for an x of ``T(b, C)`` whose reduced
+    denominator divides t, and such an x has a purely periodic base-b
+    expansion whose period divides m.  That bound needs no scan, and it is
+    taken when every word of length at most m fits ``word_budget``.
+    Otherwise the bound is the number of integer points, from the O(t)
+    dense scan.
+    """
+    if math.gcd(t, b) == 1:
+        m = multiplicative_order(t, b)
+        if sum(len(set(digits)) ** j for j in range(1, m + 1)) <= word_budget:
+            return m
+    return max(1, len(dense_integer_points(b, digits)))
 
 
 def bfs_least_cycle(system):

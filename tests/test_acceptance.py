@@ -24,7 +24,7 @@ from speigen import (
     zero_set_contains,
 )
 
-from oracles import dense_integer_points, hadamard_check_numeric
+from oracles import cycle_length_bound, hadamard_check_numeric
 
 # Frozen floor: extended-precision minimum of Q_6 over the 25-point grid
 # (0.999999035611738273) minus a 1e-9 safety margin.
@@ -107,8 +107,8 @@ def test_criterion_06_graph_equals_word_oracle(family_small):
                     word_verdict = Verdict.NOT_SPECTRUM
                 else:
                     digits = [abs(t) * l for l in inst.L]
-                    bound = len(dense_integer_points(inst.M, digits))
-                    witness = word_witness_search(inst.M, digits, max(1, bound), word_budget=10**8)
+                    bound = cycle_length_bound(inst.M, t, digits, 10**8)
+                    witness = word_witness_search(inst.M, digits, bound, word_budget=10**8)
                     word_verdict = Verdict.NOT_SPECTRUM if witness else Verdict.SPECTRUM
                 if graph_verdict is not word_verdict:
                     disagreements.append((inst.describe(), t))

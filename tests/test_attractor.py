@@ -23,7 +23,7 @@ from speigen.attractor import _phase_intervals, _split
 from speigen.eigen import Verdict, decide_scaling, scaled_system
 
 from conftest import instance_family
-from oracles import bfs_least_cycle, dense_integer_points
+from oracles import bfs_least_cycle, dense_integer_points, split_reference
 
 
 def thin(points, gap):
@@ -253,6 +253,20 @@ def _levels(b, digits):
     """The (h, k) split that integer_points takes for this digit set."""
     ((lo, hi),) = _phase_intervals(b, [sorted(set(digits))])
     return _split(b, len(set(digits)), hi - lo + 1)
+
+
+def test_split_equals_the_power_loop():
+    # Running products against both sides raised as powers at every level: seeded (b, #C, width)
+    # triples with #C < b, then widths up to 10**3000, where a budget refusal at huge t spends its time.
+    rng = random.Random(27)
+    for _ in range(5000):
+        b = rng.randrange(2, 400)
+        count = rng.randrange(1, b)
+        width = rng.randrange(1, 10 ** rng.randrange(1, 60))
+        assert _split(b, count, width) == split_reference(b, count, width), (b, count, width)
+    for b, count in ((3, 2), (12, 4), (54, 9), (162, 81)):
+        for width in (10**300 + 1, 10**1000 - 1, 10**3000):
+            assert _split(b, count, width) == split_reference(b, count, width), (b, count, len(str(width)))
 
 
 @pytest.mark.parametrize("params", [(2, 3, 2, (1,)), (2, 3, 4, (3,)), (3, 2, 3, (1,)), (2, 15, 3, (1, 2))])

@@ -26,7 +26,9 @@ from speigen import (
 )
 
 from conftest import instance_family
-from oracles import dense_integer_points, first_sign_word
+from oracles import cycle_length_bound, first_sign_word, multiplicative_order
+
+WORD_BUDGET = 10**8
 
 
 def word_based_decision(inst, t):
@@ -36,8 +38,8 @@ def word_based_decision(inst, t):
     if math.gcd(abs(t), inst.N) != 1:
         return Verdict.NOT_SPECTRUM
     digits = [abs(t) * l for l in inst.L]
-    bound = len(dense_integer_points(inst.M, digits))
-    witness = word_witness_search(inst.M, digits, max(1, bound), word_budget=10**8)
+    bound = cycle_length_bound(inst.M, t, digits, WORD_BUDGET)
+    witness = word_witness_search(inst.M, digits, bound, word_budget=WORD_BUDGET)
     return Verdict.NOT_SPECTRUM if witness else Verdict.SPECTRUM
 
 
@@ -46,8 +48,8 @@ def signed_word_based_decision(inst, t, omega):
         return Verdict.NOT_SPECTRUM
     base = inst.M**omega.r
     digits = spectrum_level(inst, abs(t), omega.r, omega).elements
-    bound = len(dense_integer_points(base, digits))
-    witness = word_witness_search(base, digits, max(1, bound), word_budget=10**8)
+    bound = cycle_length_bound(base, t, digits, WORD_BUDGET)
+    witness = word_witness_search(base, digits, bound, word_budget=WORD_BUDGET)
     return Verdict.NOT_SPECTRUM if witness else Verdict.SPECTRUM
 
 
@@ -132,6 +134,21 @@ def test_hard_scalings_are_pinned(inst12, m, points, length):
     digits = [t * l for l in inst12.L]
     assert word_witness_search(12, digits, length)[0] == length
     assert word_witness_search(12, digits, length - 1) is None
+
+
+@pytest.mark.parametrize("inst", instance_family(m_limit=48), ids=lambda inst: inst.describe())
+def test_the_hard_class_equals_the_word_oracle(inst):
+    # t = (M**m - 1) / k for m <= 6 and the three least k in [2, 64): the word oracle's length bound is
+    # ord_t(M), which divides m, so it runs where a dense scan of the O(t) candidates could not.
+    for m in range(1, 7):
+        for k in [k for k in range(2, 64) if (inst.M**m - 1) % k == 0][:3]:
+            t = (inst.M**m - 1) // k
+            order = multiplicative_order(t, inst.M)
+            assert m % order == 0 and cycle_length_bound(inst.M, t, [t * l for l in inst.L], WORD_BUDGET) == order
+            decision = decide_scaling(inst, t)
+            assert decision.verdict is word_based_decision(inst, t), (m, k)
+            if decision.cycle is not None:
+                assert m % decision.cycle.length == 0 and decision.cycle.verify(inst.M), (m, k)
 
 
 def test_decide_equals_word_oracle_spot_checks(inst12):

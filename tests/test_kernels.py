@@ -112,7 +112,7 @@ def test_digit_runs_merge_consecutive_exponents():
 
 
 def test_batch_values_equal_the_one_frequency_calls_bit_for_bit():
-    # The kernel sorts by tail bound and scatters back; a value must not depend on its batch.
+    # Every frequency walks the levels of its batch's largest tail bound; a value must not depend on its batch.
     rng = np.random.default_rng(15)
     for params in (PROBE_INSTANCES[0], PROBE_INSTANCES[1], RUN_INSTANCES[1]):
         inst = build_instance(*params)
@@ -177,11 +177,18 @@ def test_kernel_equals_the_reference_loop_bit_for_bit():
         ties = rng.uniform(-300, 300, size=50)
         multiples = inst.M * np.arange(-6.0, 7.0)  # integer arguments at several levels: r == 0
         grid = np.linspace(0.0, 1.0, 25)[:, None] - rng.uniform(-2e5, 2e5, size=64)  # 2-D, like the probe
+        # LEVEL_BLOCK // 3 frequencies go three levels to a group. At at_tol the largest of them takes
+        # exactly six levels (after five its tail bound is about 1.0001 * tol), so both groups are full.
+        top = 1.0001 * x0 * inst.M**3
+        full_groups = np.concatenate([[top, -x0], rng.uniform(-top, top, size=_kernels.LEVEL_BLOCK // 3 - 2)])
         batches = [
+            np.array([]),
             np.array([0.0, -0.0, 0.0]),
+            np.concatenate([[0.0, -0.0], rng.uniform(-1e-16, 1e-16, size=9)]),  # no level at any tol of the loop below
             np.concatenate([[0.0, -0.0, x0, -x0, x0], ties, -ties, ties, multiples, -multiples]),
             grid,  # 1,600 arguments per level: several levels to a group
-            # Above a probe batch, with levels wider than LEVEL_BLOCK (a group each) before narrower ones.
+            full_groups,
+            # Above a probe batch and above LEVEL_BLOCK: one level to a group.
             rng.uniform(-1e6, 1e6, size=max(PROBE_BATCH, _kernels.LEVEL_BLOCK) + 513),
             np.array([x0]),
         ]

@@ -150,6 +150,12 @@ def corpus(config_dir: Path) -> list[list[str]]:
     for zeros in (300, 320):
         both("validate", *INST12, "--t", "1" + "0" * zeros + "1", "--omega=1,-1")
 
+    # The transform kernel one level to a group: 19,683 level-3 elements per grid point on M = 54.
+    both("validate", "--N", "3", "--R", "2", "--q", "3", "--p", "1,2", "--t", "5")
+    # Budget refusals at t = 10^3000, where the split into word sums and residues takes thousands of levels.
+    for argv in (["decide"], ["signed", "--omega=1,-1"], ["validate"]):
+        both(argv[0], *INST54, "--t", "1e3000", *argv[1:])
+
     # Config files, alone and under flags.
     cfg = {name: str(config_dir / name) for name in (*CONFIGS, BROKEN_CONFIG)}
     both("decide", "--config", cfg["decide.json"])
