@@ -110,6 +110,11 @@ def _tolerance(value, key: str) -> float:
     return value
 
 
+def _text(value, key: str) -> str:
+    """The value as text, so a config's number 5.2 names the case id "5.2"."""
+    return str(value)
+
+
 @dataclass(frozen=True)
 class Field:
     flag: str
@@ -133,7 +138,7 @@ FIELDS = {
     "t_to": Field("--t-to", "last integer scaling of the range", instance._coerce_integer),
     "omega": Field("--omega", "comma list of +-1 signs, e.g. 1,-1", _sign_word),
     "r_max": Field("--r-max", "search bound for a common sign word", _at_least_one),
-    "example": Field("--example", "restrict to one case id: 5.2, 5.3 or 5.4"),
+    "example": Field("--example", "restrict to one case id: 5.2, 5.3 or 5.4", _text),
 }
 INSTANCE = ("N", "R", "q", "p")
 FLAG_ONLY = ("config", "json")
@@ -220,14 +225,18 @@ def _type2(inst, t, r_max, node_budget):
 
 def _attractor(inst, t, omega, node_budget):
     system = eigen.scaled_system(inst, t, omega, node_budget=node_budget)
-    # The export lists the block digits, the level-r truncation of the signed spectrum scaled by |t|.
     blocks = math.prod(len(phase) for phase in system.phases)
-    if blocks > spectra.DEFAULT_ELEMENT_BUDGET:
-        raise BudgetExceeded("spectrum truncation elements", blocks, spectra.DEFAULT_ELEMENT_BUDGET)
     cycle = attractor_mod.find_nonzero_cycle(system)
+
+    def graph() -> dict:
+        # The export lists the block digits, the level-r truncation of the signed spectrum scaled by |t|.
+        if blocks > instance.DEFAULT_ELEMENT_BUDGET:
+            raise BudgetExceeded("spectrum truncation elements", blocks, instance.DEFAULT_ELEMENT_BUDGET)
+        return system.to_json_dict()
+
     report = {
         "t": str(t),
-        "graph": system.to_json_dict,  # called only by --json, so a table never enumerates the block digits
+        "graph": graph,  # called only by --json, so a table never enumerates the block digits nor refuses them
         "integer_points": len(system.nodes),
         "cycle": cycle.to_json_dict() if cycle else None,
     }
@@ -260,13 +269,13 @@ def _validate(inst, t, omega, node_budget, tol):
         decision = eigen.decide_scaling(inst, t, node_budget=node_budget)
     # The Q probe needs M, max(D) and N**p_j exact in float64 and every
     # level-3 element finite there.  Without them the exact parts are still
-    # answered, from level 2 alone when M, max(D) or N**p_j is too large, and
-    # the probe is reported unavailable.
-    probe = None
+    # answered, and the probe is reported unavailable; level 3 is enumerated
+    # only when M, max(D) and N**p_j fit.
+    trunc = probe = None
     try:
         measure._numeric_params(inst)
     except ValueError as exc:
-        trunc, unavailable = spectra.spectrum_level(inst, t, 2, omega), str(exc)
+        unavailable = str(exc)
     else:
         trunc = spectra.spectrum_level(inst, t, 3, omega)
         try:
@@ -279,6 +288,8 @@ def _validate(inst, t, omega, node_budget, tol):
     if measure.hadamard_check_exact(inst, t):
         # At t coprime to N every level of t * Lambda_omega is orthogonal (the lemma in hadamard_check_exact).
         orthogonality = validate.ValidationReport(orthogonal=True)
+    elif trunc is None:  # no level 3 to take the level-2 window from
+        orthogonality = validate.check_orthogonal_set(inst, spectra.spectrum_level(inst, t, 2, omega).elements)
     else:
         orthogonality = validate.check_orthogonal_set(inst, trunc.elements[spectra.level_window(inst, trunc, 2)])
 
@@ -568,19 +579,21 @@ def execute(args: SimpleNamespace) -> tuple[dict, list[str]]:
 
 
 def dispatch(args: SimpleNamespace) -> int:
-    """Run one parsed command and print its report; package errors become exit codes."""
+    """Run one parsed command and print its report; package errors become exit codes.
+
+    A callable report field is an export that only ``--json`` writes, and it
+    is evaluated before anything is printed, so a package error it raises
+    maps to an exit code like the command's own.
+    """
     try:
         report, lines = execute(args)
+        if args.json:
+            report = {key: value() if callable(value) else value for key, value in report.items()}
     except SpeigenError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET if isinstance(exc, BudgetExceeded) else EXIT_INVALID
-    if args.json:
-        # A callable field is an export that only JSON writes.  One encoder and
-        # fixed options keep the JSON report byte-stable.
-        report = {key: value() if callable(value) else value for key, value in report.items()}
-        print(json.dumps(report, indent=2, ensure_ascii=False))
-    else:
-        print("\n".join(lines))
+    # One encoder and fixed options keep the JSON report byte-stable.
+    print(json.dumps(report, indent=2, ensure_ascii=False) if args.json else "\n".join(lines))
     return EXIT_OK
 
 

@@ -88,17 +88,6 @@ class EigenDecision:
         return out
 
 
-def _as_exact_scaling(t) -> int | Fraction | None:
-    """Normalize to int when integral, Fraction otherwise; None for bad types."""
-    if isinstance(t, bool):
-        return None
-    if isinstance(t, int):
-        return t
-    if isinstance(t, Fraction):
-        return int(t) if t.denominator == 1 else t
-    return None
-
-
 def scaled_system(
     inst: ProblemInstance,
     t: int,
@@ -157,12 +146,12 @@ def decide_scaling(
     Non-integers and scalings sharing a factor with N are rejected outright;
     otherwise the verdict is read off the integer-point transition graph of
     ``T(M, |t|*L)``.  The sign of t is irrelevant to the verdict (the zero
-    set is symmetric) and the original t is recorded unchanged.
+    set is symmetric) and the original t is recorded unchanged, an integral
+    Fraction as its integer.
     """
-    value = _as_exact_scaling(t)
-    if value is None:
+    if isinstance(t, bool) or not isinstance(t, (int, Fraction)):
         raise TypeError("scaling t must be an exact integer or Fraction")
-    return _decide(inst, value, None, node_budget)
+    return _decide(inst, int(t) if t.denominator == 1 else t, None, node_budget)
 
 
 def decide_scaling_signed(

@@ -18,14 +18,13 @@ downstream search is deterministic.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import InvalidParameters
 
-DEFAULT_DIGIT_BUDGET = 10**6
+DEFAULT_ELEMENT_BUDGET = 10**6  # the most sums one direct_sum may list: a digit set or a spectrum truncation
 
 
 @dataclass(frozen=True)
@@ -110,9 +109,9 @@ def build_instance(
         raise InvalidParameters(reasons)
 
     s = len(p_list)
-    if N >= 2 and N ** (s + 1) > DEFAULT_DIGIT_BUDGET:
+    if N >= 2 and N ** (s + 1) > DEFAULT_ELEMENT_BUDGET:
         raise InvalidParameters(
-            [("digit_budget", f"digit set size N^(s+1) = {N ** (s + 1)} exceeds budget {DEFAULT_DIGIT_BUDGET}")]
+            [("digit_budget", f"digit set size N^(s+1) = {N ** (s + 1)} exceeds budget {DEFAULT_ELEMENT_BUDGET}")]
         )
 
     p_all = (0, *p_list)
@@ -168,14 +167,14 @@ def _coerce_integer(value, name: str) -> int:
     raise InvalidParameters([(f"{name}_type", f"{name} must be an integer or decimal string")])
 
 
-def from_descriptor(descriptor: dict | str) -> ProblemInstance:
-    """Build an instance from a JSON descriptor ``{"N":..,"R":..,"q":..,"p":[..]}``.
+def from_descriptor(descriptor: dict) -> ProblemInstance:
+    """Build an instance from a parsed descriptor ``{"N":..,"R":..,"q":..,"p":[..]}``.
 
-    Integers may be given natively or as decimal strings (the wire form used
-    for anything that may exceed 64 bits).
+    The descriptor is a dict, as ``json.loads`` or a config file gives it;
+    anything else is refused with reason ``descriptor``.  Integers may be
+    given natively or as decimal strings (the wire form used for anything
+    that may exceed 64 bits).
     """
-    if isinstance(descriptor, str):
-        descriptor = json.loads(descriptor)
     if not isinstance(descriptor, dict):
         raise InvalidParameters([("descriptor", "instance descriptor must be a JSON object")])
     missing = [key for key in ("N", "R", "q") if key not in descriptor]

@@ -22,9 +22,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import BudgetExceeded, ZeroScaling
-from .instance import ProblemInstance, direct_sum
-
-DEFAULT_ELEMENT_BUDGET = 10**6
+from .instance import DEFAULT_ELEMENT_BUDGET, ProblemInstance, direct_sum
 
 
 @dataclass(frozen=True)
@@ -79,6 +77,7 @@ def spectrum_level(
         raise ZeroScaling("scaling t must be nonzero")
     if k < 1:
         raise ValueError("level k must be at least 1")
+    # Counted before the k scaled digit lists are built, which a large k would make huge.
     expected = len(inst.L) ** k
     if expected > DEFAULT_ELEMENT_BUDGET:
         raise BudgetExceeded("spectrum truncation elements", expected, DEFAULT_ELEMENT_BUDGET)

@@ -120,7 +120,12 @@ def test_attractor_command(capsys):
     assert report["cycle"] == {"nodes": ["3"], "digits": ["33"]}
     assert {"from": "3", "digit": "33", "to": "3"} in report["graph"]["edges"]
     inst54 = ["--N", "3", "--R", "2", "--q", "3", "--p", "1"]
-    code, out, err = run_cli(capsys, ["attractor", *inst54, "--t", "5", "--omega=1,1,1,1,1,1,1"])
+    # 9**7 block digits: the table counts them, and only the export, which lists them, refuses.
+    argv = ["attractor", *inst54, "--t", "5", "--omega=1,1,1,1,1,1,1"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert out.splitlines()[1].startswith("base ") and ", 4782969 digits, " in out.splitlines()[1]
+    code, out, err = run_cli(capsys, [*argv, "--json"])
     assert code == 3 and out == ""
     assert "spectrum truncation elements: needs 4782969, budget is 1000000" in err
     # t = 0 is refused with and without a sign word, by every command that scales.
@@ -187,6 +192,19 @@ def test_reproduce_single_case_table(capsys):
     assert "overall: pass" in out
     code, _, err = run_cli(capsys, ["reproduce-paper", "--example", "9.9"])
     assert code == 2 and "unknown example id" in err
+
+
+def test_a_numeric_example_in_a_config_names_its_case(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"example": 5.2}))
+    code, out, _ = run_cli(capsys, ["reproduce-paper", "--config", str(config), "--json"])
+    assert code == 0
+    assert [case["id"] for case in json.loads(out)["cases"]] == ["5.2"]
+    config.write_text(json.dumps({"example": 6.1}))
+    code, out, err = run_cli(capsys, ["reproduce-paper", "--config", str(config)])
+    assert (code, out) == (2, "")
+    assert err == "error: unknown example id: '6.1' (use 5.2, 5.3 or 5.4)\n"
+    assert reason_codes(["reproduce-paper", "--config", str(config)]) == ["example"]
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
@@ -432,6 +450,24 @@ def test_validate_beyond_float_range_reports_the_probe_unavailable(capsys):
     assert out.splitlines()[-2:] == ["level-2 orthogonality: exact", f"Q probe: unavailable (float_range: {message})"]
 
 
+def test_validate_without_the_probe_enumerates_level_2_only_for_the_pair_check(capsys):
+    # M = 2 * 1001**6 is beyond float64, and level 2 has 1001**2 > 10**6 elements.  At t = 1 the
+    # lemma gives the orthogonality, so nothing enumerates level 2; 7 divides 1001, so t = 7 needs it.
+    inst1001 = ["--N", "1001", "--R", "2", "--q", "6", "--p="]
+    code, out, _ = run_cli(capsys, ["validate", *inst1001, "--t", "1", "--json"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["decision"]["verdict"] == "Spectrum"
+    assert report["orthogonality"]["orthogonal"] is True
+    assert report["probe"]["available"] is False and report["probe"]["reason"] == "float_range"
+    code, out, _ = run_cli(capsys, ["validate", *inst1001, "--t", "1"])
+    assert code == 0 and out.splitlines()[-2] == "level-2 orthogonality: exact"
+    for extra in ([], ["--json"]):
+        code, out, err = run_cli(capsys, ["validate", *inst1001, "--t", "7", *extra])
+        assert (code, out) == (3, "")
+        assert err == "error: spectrum truncation elements: needs 1002001, budget is 1000000\n"
+
+
 def test_validate_enumerates_one_truncation(monkeypatch, capsys):
     # Level 2 is a window of level 3, and the probe reads every level from the truncation it is given.
     enumerate_level, levels = spectra.spectrum_level, []
@@ -445,7 +481,8 @@ def test_validate_enumerates_one_truncation(monkeypatch, capsys):
     for flags, expected in (
         ([*INST12, "--t", "11"], [3]),
         ([*INST12, "--t=-11", "--omega=1,1,-1"], [3]),
-        (["--N", "2", "--R", "3", "--q", "60", "--p", "1", "--t", "1"], [2]),
+        (["--N", "2", "--R", "3", "--q", "60", "--p", "1", "--t", "1"], []),
+        (["--N", "2", "--R", "3", "--q", "60", "--p", "1", "--t", "2"], [2]),
     ):
         levels.clear()
         assert run_cli(capsys, ["validate", *flags, "--json"])[0] == 0

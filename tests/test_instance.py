@@ -136,7 +136,6 @@ def test_descriptor_accepts_native_and_string_integers():
     a = from_descriptor({"N": 2, "R": 3, "q": 2, "p": [1]})
     b = from_descriptor({"N": "2", "R": "3", "q": "2", "p": ["1"]})
     assert a == b
-    assert from_descriptor('{"N": 2, "R": "3", "q": 2, "p": [1]}') == a
 
 
 def test_descriptor_errors():

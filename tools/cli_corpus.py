@@ -58,6 +58,7 @@ CONFIGS = {
     "unread.json": {"N": 2, "R": 3, "q": 2, "p": [1], "t": "11", "node-budget": 5},
     "type2.json": {"N": 2, "R": 3, "q": 2, "p": [1], "t": "11/7", "r_max": 3},
     "list.json": [1, 2, 3],
+    "example.json": {"example": 5.2},
 }
 BROKEN_CONFIG = "broken.json"
 
@@ -149,6 +150,13 @@ def corpus(config_dir: Path) -> list[list[str]]:
         both("validate", "--N", "2", "--R", "3", "--q", "60", "--p", "1", "--t=" + t)
     for zeros in (300, 320):
         both("validate", *INST12, "--t", "1" + "0" * zeros + "1", "--omega=1,-1")
+    # M = 2 * 1001**6 beyond float64 and 1001**2 level-2 elements: t = 1 takes its orthogonality from
+    # the lemma, t = 7 (dividing 1001) needs the pairs of level 2, and on q = 2 level 3 is refused.
+    for t in ("1", "7"):
+        both("validate", "--N", "1001", "--R", "2", "--q", "6", "--p=", "--t", t)
+    both("validate", "--N", "1001", "--R", "2", "--q", "2", "--p=", "--t", "1")
+    # A sign-word search that ends at its bound without a word.
+    both("type2", *INST12, "--t", "11", "--r-max", "1")
 
     # The transform kernel one level to a group: 19,683 level-3 elements per grid point on M = 54.
     both("validate", "--N", "3", "--R", "2", "--q", "3", "--p", "1,2", "--t", "5")
@@ -173,6 +181,7 @@ def corpus(config_dir: Path) -> list[list[str]]:
     both("decide", "--config", cfg[BROKEN_CONFIG])
     both("decide", "--config", str(config_dir / "missing.json"))
     both("reproduce-paper", "--config", cfg["decide.json"])
+    both("reproduce-paper", "--config", cfg["example.json"])
 
     # Invalid input, bad flag values and usage errors.
     for argv in (
